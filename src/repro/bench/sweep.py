@@ -162,9 +162,9 @@ def paper_smoke_sweep(
     """Reduced Fig. 5 slice at full paper scale, hybrid (auto) mode.
 
     Same shape as :func:`smoke_sweep` but at the paper's 2160-rank Niagara
-    footprint, forced through ``sim_mode="auto"`` so every stage is either
-    costed analytically or replayed on the compiled fast path — a pure-DES
-    pass at this scale would take minutes per spec.  The grid is fixed, so
+    footprint, forced through ``sim_mode="auto"`` so every run replays on
+    the compiled fast path — a pure-DES pass at this scale would take
+    minutes per spec.  The grid is fixed, so
     a warm cache answers the whole slice; CI gates on both the cold pass's
     wall clock and the warm pass's hit rate.
     """

@@ -110,8 +110,8 @@ class CaseResult:
     ``wall_seconds`` holds the primary path's walls (the DES for
     ``"compare"``/``"des"`` cases, the hybrid path for ``"auto"`` cases);
     ``wall_seconds_auto`` holds the hybrid walls of a ``"compare"`` case.
-    ``sim_path`` records which fast-path tier the hybrid run took
-    (``"fastpath"`` exact replay or ``"analytic"`` closed form).
+    ``sim_path`` records which path the hybrid run took (``"fastpath"``
+    exact replay, or ``"des"`` when it fell back to the engine).
     """
 
     case: WallclockCase

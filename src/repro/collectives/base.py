@@ -110,7 +110,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         shipped ones) override this to emit a
         :class:`~repro.sim.schedule.Schedule` describing exactly the ops
         their generators would perform, enabling the engine-free fast path
-        (``sim_mode="auto"``/``"analytic"``).  The default ``None`` means
+        (``sim_mode="auto"``).  The default ``None`` means
         "no static schedule available" and forces the discrete-event path.
         """
         return None
@@ -122,7 +122,7 @@ class NeighborhoodAllgatherAlgorithm(abc.ABC):
         identity key: topology + machine) and the block sizes — not on
         payloads or result buffers — so repeated invocations with the same
         inputs (bench repeats, warm sweeps) reuse one schedule, which in
-        turn keeps its compiled fast-path segments warm.  Strong references
+        turn keeps its compiled fast-path plan warm.  Strong references
         to the keyed objects are held in the cache entry, so identity
         checks can never alias recycled ids.
         """

@@ -24,7 +24,6 @@ from repro.collectives.base import (
 )
 from repro.sim.engine import Engine, RankFailedError
 from repro.sim.fastpath import execute_schedule
-from repro.sim.schedule import contention_free
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.tracing import TraceCollector
 from repro.topology.graph import DistGraphTopology
@@ -134,12 +133,8 @@ class RunOptions:
         schedule through :mod:`repro.sim.fastpath` — bit-identical results,
         typically an order of magnitude faster — whenever the run is
         eligible (no fault plan, no tracing, jitter-free machine, and the
-        algorithm provides a schedule), falling back to the engine
-        otherwise.  ``"analytic"`` prices every message with the
-        closed-form Hockney pipeline cost, ignoring contention: exact on
-        contention-free schedules, a documented lower bound elsewhere (see
-        docs/ARCHITECTURE.md); runs with a fault plan likewise fall back
-        to the engine.
+        algorithm provides a schedule whose every receive has a matching
+        send), falling back to the engine otherwise.
     on_failure:
         ULFM-style policy for fail-stop failures (``RankCrash`` faults that
         leave survivors stalled).  ``"abort"`` (default) propagates the
@@ -165,9 +160,9 @@ class RunOptions:
     on_failure: str = "abort"
 
     def __post_init__(self) -> None:
-        if self.sim_mode not in ("des", "auto", "analytic"):
+        if self.sim_mode not in ("des", "auto"):
             raise ValueError(
-                f"sim_mode must be 'des', 'auto' or 'analytic', got {self.sim_mode!r}"
+                f"sim_mode must be 'des' or 'auto', got {self.sim_mode!r}"
             )
         if self.on_failure not in ("abort", "shrink", "degrade"):
             raise ValueError(
@@ -256,9 +251,9 @@ class AllgatherRun:
     #: repro.verify conservation checks runnable on cached results.
     trace_summary: dict[str, dict[str, int]] | None = None
     #: which execution path produced this run: "des" (discrete-event
-    #: engine), "fastpath" (bit-identical schedule replay), or "analytic"
-    #: (closed-form Hockney costing).  Lets tests and sweeps distinguish a
-    #: genuine fast-path run from an auto-mode fallback to the engine.
+    #: engine) or "fastpath" (bit-identical schedule replay).  Lets tests
+    #: and sweeps distinguish a genuine fast-path run from an auto-mode
+    #: fallback to the engine.
     sim_path: str = "des"
     #: ranks whose payloads are missing from the collective because they
     #: crashed (fail-stop faults), ascending original ids; empty for
@@ -406,10 +401,9 @@ def run_allgather(
 
     # Hybrid fast path: replay the algorithm's static schedule instead of
     # running the engine.  Eligibility is conservative — any feature the
-    # replay does not model (fault injection, tracing, machine jitter, or
-    # an algorithm without a schedule) falls back to the DES, so "auto"
-    # never changes results and "analytic" honors the contract that faulty
-    # runs always go through the full simulation.
+    # replay does not model (fault injection, tracing, machine jitter, an
+    # algorithm without a schedule, or a receive with no matching send)
+    # falls back to the DES, so "auto" never changes results.
     if (
         opts.sim_mode != "des"
         and fault_plan is None
@@ -418,21 +412,13 @@ def run_allgather(
     ):
         wall_start = time.perf_counter()
         schedule = algorithm.schedule_for(ctx)
-        if schedule is not None:
-            # Hybrid classification: "auto" consults the per-stage
-            # contention analyzer and prices fully contention-free
-            # schedules with the closed-form Hockney path (within the
-            # calibrated tolerance; exact when no claim ever binds), while
-            # contended schedules replay exactly.  "analytic" forces the
-            # closed form regardless.
-            analytic = opts.sim_mode == "analytic" or contention_free(schedule, machine)
-            outcome = execute_schedule(
-                schedule,
-                machine,
-                max_sim_time=opts.max_sim_time,
-                max_events=opts.max_events,
-                model_contention=not analytic,
-            )
+        outcome = None if schedule is None else execute_schedule(
+            schedule,
+            machine,
+            max_sim_time=opts.max_sim_time,
+            max_events=opts.max_events,
+        )
+        if outcome is not None:
             results = ctx.results
             get_payload = payloads.__getitem__
             for dst, srcs in enumerate(schedule.deliveries):
@@ -450,7 +436,7 @@ def run_allgather(
                 wall_time=time.perf_counter() - wall_start,
                 block_sizes=block_sizes,
                 requested_algorithm=requested_algorithm,
-                sim_path="analytic" if analytic else "fastpath",
+                sim_path="fastpath",
             )
             if opts.verify:
                 verify_allgather(topology, run, expected_payloads=payloads)

@@ -23,7 +23,9 @@ from repro.collectives.runner import AllgatherRun
 #: v2: slim runs carry ``trace_summary`` (per-class conservation aggregates).
 #: v3: slim runs carry ``missing_ranks`` + ``recovery`` (fail-stop faults).
 #: v4: slim runs carry ``selected_algorithm`` (adaptive ``"auto"`` picks).
-FORMAT_VERSION = 4
+#: v5: ``sim_mode="auto"`` always replays exactly (contention-free cells
+#:     no longer take the closed-form costing, so their times can change).
+FORMAT_VERSION = 5
 
 #: Run fields excluded from the determinism contract (host-dependent).
 WALL_CLOCK_FIELDS = ("wall_time",)

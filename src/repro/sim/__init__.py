@@ -29,14 +29,11 @@ from repro.sim.faults import (
     get_profile,
     resilience_profiles,
 )
-from repro.sim.fastpath import ANALYTIC_RTOL, FastRunOutcome, execute_schedule
+from repro.sim.fastpath import FastRunOutcome, execute_schedule
 from repro.sim.plancache import PlanCache, machine_digest, plan_cache_stats, reset_plan_cache
 from repro.sim.request import Request
 from repro.sim.schedule import (
     Schedule,
-    StageReport,
-    analyze_contention,
-    contention_free,
     spawn_wake_order,
     static_matching,
     structural_digest,
@@ -66,11 +63,9 @@ __all__ = [
     "Request",
     "MessageRecord",
     "TraceCollector",
-    "ANALYTIC_RTOL",
     "FastRunOutcome",
     "execute_schedule",
     "Schedule",
-    "StageReport",
     "spawn_wake_order",
     "static_matching",
     "structural_digest",
@@ -78,6 +73,4 @@ __all__ = [
     "machine_digest",
     "plan_cache_stats",
     "reset_plan_cache",
-    "analyze_contention",
-    "contention_free",
 ]

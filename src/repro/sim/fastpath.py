@@ -16,7 +16,7 @@ Two ideas make it fast:
   gathers the distinct ``(socket-pair plan, nbytes)`` combinations across the
   whole schedule and prices them in one numpy pass (``m/beta``, ``alpha +
   m/beta``, NIC/link costs — elementwise IEEE ops identical to the scalar
-  fabric arithmetic).  The replay loop then runs over *pre-priced* opcode
+  fabric arithmetic).  The replay loop then runs over *pre-priced* send
   tuples: no float arithmetic beyond the claim recurrences themselves.
 * **Scalar claim recurrences, on purpose.**  A resource's claim sequence
   ``end_i = max(post_i, end_{i-1}) + dur_i`` is *not* reformulated as a
@@ -24,21 +24,13 @@ Two ideas make it fast:
   prefix-sum regrouping would break bit-identity with the engine.  Claims
   stay in event order over plain float state.
 
-Three executor tiers share those ideas, dispatched by eligibility:
-single-stage schedules run the fully batched :class:`_BatchPlan` sweep;
-every other fully matched schedule (multi-stage CN/DH/Bruck, budgeted
-runs) runs the heap-driven :class:`_MultiStagePlan` executor, which keeps
-the engine's event structure and makes segment interiors static; the
-scalar opcode interpreter (:func:`_interpret`) remains as the reference
-tier for analytic costing and unmatched-receive deadlocks.  All compiled
-products are memoized across runs in the structural plan cache
-(:mod:`repro.sim.plancache`).
-
-``model_contention=False`` gives the closed-form Hockney costing
-(``sim_mode="analytic"``): every message is priced as if it were alone —
-``arrival = post + max(stage durations) + hop_extra`` — which is exact when
-no resource queue ever binds (see :func:`repro.sim.schedule.contention_free`)
-and a lower bound otherwise (claims only ever delay stages).
+There is one executor, the heap-driven :func:`_execute_multi`, for every
+schedule whose receives all have a matching send (single- and multi-stage,
+budgeted or not).  A schedule with an unmatched receive deadlocks;
+:func:`execute_schedule` returns ``None`` for it and the caller runs the
+engine, which reports the exact blocked state.  Compiled plans are memoized
+across runs in the structural plan cache (:mod:`repro.sim.plancache`), one
+entry per (schedule, machine).
 
 Watchdog budgets (``max_sim_time``/``max_events``) are honored with the
 engine's exact boundary semantics: an event with timestamp equal to
@@ -51,7 +43,6 @@ so a budgeted run trips on the same event in both paths.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,30 +56,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.machine import Machine
     from repro.sim.schedule import Schedule
 
-# Compiled opcodes (first tuple element).  ``key`` is the prebuilt match
-# key ``(src, tag)`` — precomputing it saves one tuple allocation per
-# message in the replay loop.  Charges compile to *bare floats*
-# (their memcpy duration) rather than tuples: they are the most frequent op
-# in combining schedules and a ``type(op) is float`` check is the cheapest
-# dispatch CPython offers.
-_SEND_SELF = 1   #: (1, dst, key, nbytes, dur)
-_SEND_LOCAL = 2  #: (2, dst, key, nbytes, port_dur, hop_extra)
-_SEND_NODE = 3   #: (3, dst, key, nbytes, port_dur, nic_dur, hop_extra, nsrc, ndst)
-_SEND_GROUP = 4  #: (4, dst, key, nbytes, port_dur, nic_dur, link_dur, hop_extra,
+# Priced opcodes (first tuple element).  Matching is resolved statically
+# (:func:`repro.sim.schedule.static_matching`), so receives carry no key.
+# Charges compile to *bare floats* (their memcpy duration) rather than
+# tuples: they are the most frequent op in combining schedules and a
+# ``type(op) is float`` check is the cheapest dispatch CPython offers.
+_SEND_SELF = 1   #: (1, dst, nbytes, dur)
+_SEND_LOCAL = 2  #: (2, dst, nbytes, port_dur, hop_extra)
+_SEND_NODE = 3   #: (3, dst, nbytes, port_dur, nic_dur, hop_extra, nsrc, ndst)
+_SEND_GROUP = 4  #: (4, dst, nbytes, port_dur, nic_dur, link_dur, hop_extra,
                  #:  nsrc, ndst, lane_groups, fixed_lanes)
-_RECV = 5        #: (5, (src, tag))
-_SEND_FREE = 7   #: (7, dst, key, nbytes, port_dur, free_extra) — analytic mode
-
-#: Tolerance contract for the analytic (closed-form) path on contention-free
-#: schedules: ``|analytic - des| / des <= ANALYTIC_RTOL``.  The closed form
-#: is a *lower bound* on the DES time (resource claims can only delay), and
-#: for single-stage contention-free schedules it is bit-identical.  Across
-#: stages the per-stage analyzer cannot exclude a straggler's claim binding
-#: an early next-stage message; the calibration grid (every contention-free
-#: cell the scenario generators produce, checked in
-#: tests/sim/test_hybrid.py) measures a gap of exactly 0.0, and the 1%
-#: headroom here bounds the residual the analysis cannot rule out.
-ANALYTIC_RTOL = 1e-2
+_RECV = 5        #: (5,)
+_RECV_OP = (_RECV,)
 
 
 class FastRunOutcome:
@@ -111,7 +90,7 @@ class FastRunOutcome:
         self.events_processed = events_processed
 
 
-def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
+def _compile(schedule: "Schedule", machine: "Machine"):
     """Price every op and split each rank's list into wait-delimited segments.
 
     Returns ``(segments, n_lanes)``; ``segments[r]`` is ``None`` or a list of
@@ -202,30 +181,20 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
             elif kind == "charge":
                 cur.append(charge_price[op[1]])
             elif kind == "recv":
-                cur.append((_RECV, (op[1], op[2])))
+                cur.append(_RECV_OP)
             else:  # send
-                dst, nbytes, tag = op[1], op[2], op[3]
-                key = (rank, tag)
+                dst, nbytes = op[1], op[2]
                 if dst == rank:
-                    cur.append((_SEND_SELF, dst, key, nbytes, charge_price[nbytes]))
+                    cur.append((_SEND_SELF, dst, nbytes, charge_price[nbytes]))
                     continue
                 skey = src_base + dst // rps
                 entry, pd, nd, ld = price[(skey, nbytes)]
                 hop_extra, nsrc, ndst = entry[2], entry[5], entry[6]
                 group_keys, fixed_keys = entry[7], entry[8]
-                has_lanes = group_keys is not None or bool(fixed_keys)
-                if not model_contention:
-                    if nsrc < 0:
-                        extra = pd
-                    elif has_lanes:
-                        extra = max(pd, nd, ld)
-                    else:
-                        extra = pd if pd > nd else nd
-                    cur.append((_SEND_FREE, dst, key, nbytes, pd, extra + hop_extra))
-                elif nsrc < 0:
-                    cur.append((_SEND_LOCAL, dst, key, nbytes, pd, hop_extra))
-                elif not has_lanes:
-                    cur.append((_SEND_NODE, dst, key, nbytes, pd, nd,
+                if nsrc < 0:
+                    cur.append((_SEND_LOCAL, dst, nbytes, pd, hop_extra))
+                elif group_keys is None and not fixed_keys:
+                    cur.append((_SEND_NODE, dst, nbytes, pd, nd,
                                 hop_extra, nsrc, ndst))
                 else:
                     lanes = lanes_by_key.get(skey)
@@ -236,410 +205,12 @@ def _compile(schedule: "Schedule", machine: "Machine", model_contention: bool):
                         else:
                             lanes = (None, tuple(_lane(k) for k in fixed_keys))
                         lanes_by_key[skey] = lanes
-                    cur.append((_SEND_GROUP, dst, key, nbytes, pd, nd, ld,
+                    cur.append((_SEND_GROUP, dst, nbytes, pd, nd, ld,
                                 hop_extra, nsrc, ndst, lanes[0], lanes[1]))
         if cur or not segs:
             segs.append((tuple(cur), False))
         segments.append(segs)
     return segments, len(lane_index)
-
-
-def compiled_for(schedule: "Schedule", machine: "Machine", model_contention: bool):
-    """Memoized :func:`_compile` via the structural plan cache.
-
-    The key is ``(schedule structural digest, machine digest, flavor)`` —
-    see :mod:`repro.sim.plancache` — so compilation is shared across runs,
-    across alternating machines (the old single-entry memo evicted on every
-    switch), and across distinct ``Schedule`` objects describing the same
-    pattern (a rebuilt sweep cell replays a cached plan).
-    """
-    key = (structural_digest(schedule), machine_digest(machine),
-           "segments", model_contention)
-    entry = PLAN_CACHE.get(key)
-    if entry is _MISS:
-        entry = _compile(schedule, machine, model_contention)
-        PLAN_CACHE.put(key, entry)
-    return entry
-
-
-class _BatchPlan:
-    """Precompiled cohort tables for the single-stage batched executor.
-
-    Eligible schedules (every rank: ops with at most one ``wait``, as the
-    final op) have a *statically known* global claim order: all ranks run
-    their one posting segment at t=0 in spawn order, and nothing a wake
-    event does can affect a claim.  That turns the event-driven replay
-    into per-resource wavefront recurrences over message cohorts — the
-    numpy-batched stage processing of the hybrid design:
-
-    * posts are compile-time constants (per-rank ``np.add.accumulate``
-      over the op deltas — sequential adds, bit-identical to the scalar
-      clock) gathered once;
-    * per run, each resource family is swept in one tight loop in global
-      message order (send ports, NIC-tx, adaptive lanes, NIC-rx, recv
-      ports) — the same ``end = max(post, next_free) + dur`` scalar
-      recurrences as the engine, minus all opcode dispatch;
-    * matching is static (k-th posted receive of a ``(src, tag)`` key
-      pairs with the k-th arrival — FIFO on both sides), so completions
-      and per-rank waitall folds reduce to ``np.maximum`` /
-      ``np.maximum.reduceat`` (max is order-free, hence bit-exact).
-
-    Watchdog budgets force the heap-driven multi-stage executor instead:
-    budget trip points are mid-run engine states that a single batched
-    sweep does not reproduce, but per-pop budget checks do.
-    """
-
-    __slots__ = (
-        "n_live", "n_wakes", "messages", "bytes_total", "now_final",
-        "has_wait", "live", "post", "pdur", "ndur", "ldur", "hop", "dsts",
-        "lane_spec", "ends0", "phase1", "phase2", "phase3", "phase4",
-        "phase5", "kinds", "recv_match", "recv_posts", "recv_dsts",
-        "recv_offsets", "send_ranks", "send_offsets", "n_lanes",
-    )
-
-
-def _compile_batch(schedule: "Schedule", machine: "Machine"):
-    """Build a :class:`_BatchPlan`, or ``None`` when the schedule does not
-    qualify (multi-stage, or a receive with no matching send — the latter
-    deadlocks, which the interpreter reports exactly)."""
-    segments, n_lanes = compiled_for(schedule, machine, True)
-    call_overhead = machine.params.call_overhead
-    spec = machine.spec
-    node_of = spec.node_of
-
-    n = schedule.n_ranks
-    now_final = [0.0] * n
-    has_wait = [False] * n
-    live = [False] * n
-    # Global per-message tables, in execution (= claim) order.
-    post: list[float] = []
-    pdur: list[float] = []
-    ndur: list[float] = []
-    ldur: list[float] = []
-    hop: list[float] = []
-    dsts: list[int] = []
-    kinds: list[int] = []       # 0 self, 1 local, 2 node, 3 group
-    nsrcs: list[int] = []
-    ndsts: list[int] = []
-    lane_spec: list[tuple] = []  # kind 3 only: (lane_groups, fixed_lanes)
-    ends0: list[float] = []
-    msg_src: list[int] = []
-    bytes_total = 0
-    by_key: dict[tuple, deque] = {}  # (dst, src, tag) -> send index FIFO
-    rank_recvs: list[tuple] = []     # (rank, [keys in op order], [posts])
-
-    for rank in range(n):
-        segs = segments[rank]
-        if segs is None:
-            continue
-        live[rank] = True
-        if len(segs) > 1:
-            return None
-        ops, ends_with_wait = segs[0]
-        has_wait[rank] = ends_with_wait
-        if not ops:
-            continue
-        deltas: list[float] = []
-        send_at: list[tuple[int, int]] = []  # (delta idx, message idx)
-        recv_keys: list[tuple] = []
-        recv_at: list[int] = []
-        for op in ops:
-            if op.__class__ is float:
-                deltas.append(op)
-                continue
-            code = op[0]
-            deltas.append(call_overhead)
-            if code == _RECV:
-                recv_keys.append(op[1])
-                recv_at.append(len(deltas) - 1)
-                continue
-            mi = len(post)
-            send_at.append((len(deltas) - 1, mi))
-            dst = op[1]
-            dsts.append(dst)
-            msg_src.append(rank)
-            bytes_total += op[3]
-            k = (dst,) + op[2]
-            q = by_key.get(k)
-            if q is None:
-                by_key[k] = q = deque()
-            q.append(mi)
-            if code == _SEND_SELF:
-                kinds.append(0)
-                pdur.append(op[4])
-                ndur.append(0.0)
-                ldur.append(0.0)
-                hop.append(0.0)
-                nsrcs.append(-1)
-                ndsts.append(-1)
-                lane_spec.append(())
-            elif code == _SEND_LOCAL:
-                kinds.append(1)
-                pdur.append(op[4])
-                ndur.append(0.0)
-                ldur.append(0.0)
-                hop.append(op[5])
-                nsrcs.append(-1)
-                ndsts.append(-1)
-                lane_spec.append(())
-            elif code == _SEND_NODE:
-                kinds.append(2)
-                pdur.append(op[4])
-                ndur.append(op[5])
-                ldur.append(0.0)
-                hop.append(op[6])
-                nsrcs.append(op[7])
-                ndsts.append(op[8])
-                lane_spec.append(())
-            else:  # _SEND_GROUP
-                kinds.append(3)
-                pdur.append(op[4])
-                ndur.append(op[5])
-                ldur.append(op[6])
-                hop.append(op[7])
-                nsrcs.append(op[8])
-                ndsts.append(op[9])
-                lane_spec.append((op[10], op[11]))
-            post.append(0.0)
-            ends0.append(0.0)
-        accl = np.add.accumulate(
-            np.asarray(deltas, dtype=np.float64)
-        ).tolist()
-        now_final[rank] = accl[-1]
-        for di, mi in send_at:
-            p = accl[di]
-            post[mi] = p
-            if kinds[mi] == 0:  # self-send completes at post + memcpy
-                ends0[mi] = p + pdur[mi]
-        if recv_keys:
-            rank_recvs.append((rank, recv_keys, [accl[d] for d in recv_at]))
-
-    # Static matching: k-th posted receive of a (src, tag) key pairs with
-    # the k-th message of that key (arrival order equals global post order
-    # for a shared key: every shared resource serializes them in order).
-    recv_match: list[int] = []
-    recv_posts: list[float] = []
-    recv_dsts: list[int] = []
-    recv_offsets: list[int] = []
-    for rank, keys, posts in rank_recvs:
-        recv_offsets.append(len(recv_match))
-        recv_dsts.append(rank)
-        for key, p in zip(keys, posts):
-            q = by_key.get((rank,) + key)
-            if not q:
-                return None  # unmatched receive: interpreter reports deadlock
-            recv_match.append(q.popleft())
-            recv_posts.append(p)
-
-    # Per-resource sweep orders (global message order within each group).
-    phase1: list[list[int]] = []   # send ports, per src rank
-    phase2: list[list[int]] = []   # NIC tx, per src node
-    phase3: list[int] = []         # shared-link lanes, global order
-    phase4: list[list[int]] = []   # NIC rx, per dst node
-    phase5: list[list[int]] = []   # recv ports, per dst rank
-    p1: dict[int, list[int]] = {}
-    p2: dict[int, list[int]] = {}
-    p4: dict[int, list[int]] = {}
-    p5: dict[int, list[int]] = {}
-    for i, kind in enumerate(kinds):
-        if kind == 0:
-            continue
-        p1.setdefault(msg_src[i], []).append(i)
-        p5.setdefault(dsts[i], []).append(i)
-        if kind >= 2:
-            p2.setdefault(nsrcs[i], []).append(i)
-            p4.setdefault(ndsts[i], []).append(i)
-            if kind == 3:
-                phase3.append(i)
-    phase1 = list(p1.values())
-    phase2 = list(p2.values())
-    phase4 = list(p4.values())
-    phase5 = list(p5.values())
-
-    # Send-completion folds per rank: sends are contiguous per rank in
-    # global order, so a reduceat over (offset, rank) pairs suffices.
-    send_ranks: list[int] = []
-    send_offsets: list[int] = []
-    prev_rank = -1
-    for i, r in enumerate(msg_src):
-        if r != prev_rank:
-            send_ranks.append(r)
-            send_offsets.append(i)
-            prev_rank = r
-
-    plan = _BatchPlan()
-    plan.n_live = sum(live)
-    plan.n_wakes = sum(1 for r in range(n) if live[r] and has_wait[r])
-    plan.messages = len(post)
-    plan.bytes_total = bytes_total
-    plan.now_final = now_final
-    plan.has_wait = has_wait
-    plan.live = live
-    plan.post = post
-    plan.pdur = pdur
-    plan.ndur = ndur
-    plan.ldur = ldur
-    plan.hop = hop
-    plan.dsts = dsts
-    plan.kinds = kinds
-    plan.lane_spec = lane_spec
-    plan.ends0 = ends0
-    plan.phase1 = phase1
-    plan.phase2 = phase2
-    plan.phase3 = phase3
-    plan.phase4 = phase4
-    plan.phase5 = phase5
-    plan.recv_match = np.asarray(recv_match, dtype=np.intp)
-    plan.recv_posts = np.asarray(recv_posts, dtype=np.float64)
-    plan.recv_dsts = recv_dsts
-    plan.recv_offsets = np.asarray(recv_offsets, dtype=np.intp)
-    plan.send_ranks = send_ranks
-    plan.send_offsets = np.asarray(send_offsets, dtype=np.intp)
-    plan.n_lanes = n_lanes
-    return plan
-
-
-def batch_plan_for(schedule: "Schedule", machine: "Machine"):
-    """Memoized :func:`_compile_batch` via the structural plan cache.
-
-    ``None`` (schedule not single-stage eligible) is cached too: deciding
-    ineligibility costs a full compile walk.
-    """
-    key = (structural_digest(schedule), machine_digest(machine), "batch")
-    plan = PLAN_CACHE.get(key)
-    if plan is _MISS:
-        plan = _compile_batch(schedule, machine)
-        PLAN_CACHE.put(key, plan)
-    return plan
-
-
-def _execute_batch(plan: _BatchPlan) -> FastRunOutcome:
-    """One run of a single-stage batched plan (see :class:`_BatchPlan`)."""
-    post = plan.post
-    pdur = plan.pdur
-    ndur = plan.ndur
-    ldur = plan.ldur
-    hop = plan.hop
-    kinds = plan.kinds
-    lane_spec = plan.lane_spec
-    m = plan.messages
-    starts = [0.0] * m
-    prevs = [0.0] * m
-    pipes = [0.0] * m
-    ends = list(plan.ends0)
-    arrival = list(plan.ends0)  # self-send arrivals preset; rest overwritten
-    lane_next = [0.0] * plan.n_lanes
-
-    # Send ports (per source rank, in post order).
-    for idxs in plan.phase1:
-        nf = 0.0
-        for i in idxs:
-            p = post[i]
-            s = p if p > nf else nf
-            e = s + pdur[i]
-            starts[i] = s
-            prevs[i] = s
-            pipes[i] = e
-            ends[i] = e
-            nf = e
-    # NIC tx (per source node, global order).
-    for idxs in plan.phase2:
-        nf = 0.0
-        for i in idxs:
-            prev = starts[i]
-            s = prev if prev > nf else nf
-            e = s + ndur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            prevs[i] = s
-            pipes[i] = e
-    # Shared-link lanes (adaptive choice is load-dependent: global order).
-    for i in plan.phase3:
-        groups, fixed = lane_spec[i]
-        prev = prevs[i]
-        pe = pipes[i]
-        ld = ldur[i]
-        if groups is None:
-            lanes = fixed
-        elif len(groups) == 1:
-            group = groups[0]
-            if len(group) == 2:
-                a = group[0]
-                b = group[1]
-                lanes = ((a if lane_next[a] <= lane_next[b] else b),)
-            else:
-                lanes = (min(group, key=lane_next.__getitem__),)
-        else:
-            lanes = [min(g, key=lane_next.__getitem__) for g in groups]
-        for ln in lanes:
-            nf = lane_next[ln]
-            s = prev if prev > nf else nf
-            e = s + ld
-            if e < pe:
-                e = pe
-            lane_next[ln] = e
-            prev = s
-            pe = e
-        prevs[i] = prev
-        pipes[i] = pe
-    # NIC rx (per destination node, global order).
-    for idxs in plan.phase4:
-        nf = 0.0
-        for i in idxs:
-            prev = prevs[i]
-            s = prev if prev > nf else nf
-            e = s + ndur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            prevs[i] = s
-            pipes[i] = e
-    # Recv ports (per destination rank, global order) + arrival stamps.
-    for idxs in plan.phase5:
-        nf = 0.0
-        for i in idxs:
-            prev = prevs[i]
-            s = prev if prev > nf else nf
-            e = s + pdur[i]
-            pe = pipes[i]
-            if e < pe:
-                e = pe
-            nf = e
-            arrival[i] = e + hop[i]
-
-    # Waitall folds: completions = max(arrival, post) per matched receive;
-    # per-rank maxima via reduceat (max is order-free: bit-exact).  Only
-    # ranks that wait fold request completions into their finish time; a
-    # rank without a wait finishes at its local clock.
-    finish = list(plan.now_final)
-    has_wait = plan.has_wait
-    if m:
-        ends_arr = np.asarray(ends)
-        send_max = np.maximum.reduceat(ends_arr, plan.send_offsets).tolist()
-        for r, v in zip(plan.send_ranks, send_max):
-            if has_wait[r] and v > finish[r]:
-                finish[r] = v
-    if len(plan.recv_match):
-        comp = np.maximum(
-            np.asarray(arrival)[plan.recv_match], plan.recv_posts
-        )
-        recv_max = np.maximum.reduceat(comp, plan.recv_offsets).tolist()
-        for r, v in zip(plan.recv_dsts, recv_max):
-            if has_wait[r] and v > finish[r]:
-                finish[r] = v
-
-    live = plan.live
-    finished = {
-        r: (finish[r] if live[r] else 0.0) for r in range(len(live))
-    }
-    simulated = max(finished.values(), default=0.0)
-    return FastRunOutcome(
-        simulated, finished, m, plan.bytes_total,
-        plan.n_live + plan.n_wakes,
-    )
 
 
 #: Below this many ops a segment's clock is evolved by a scalar Python loop:
@@ -649,12 +220,11 @@ _VEC_MIN_OPS = 24
 
 
 class _MultiStagePlan:
-    """Precompiled tables for the heap-driven multi-stage executor.
+    """Precompiled tables for the heap-driven schedule executor.
 
-    The single-stage :class:`_BatchPlan` works because its global claim
-    order is static.  Multi-stage schedules interleave segments of
-    different ranks in heap ``(time, seq, rank)`` order, which is a
-    runtime quantity — so this plan keeps the engine's *event structure*
+    Schedules interleave segments of different ranks in heap
+    ``(time, seq, rank)`` order, which is a runtime quantity — so this
+    plan keeps the engine's *event structure*
     (one heap pop per spawn and per waitall wake, identical seq
     allocation) and makes everything inside an event static instead:
 
@@ -671,8 +241,9 @@ class _MultiStagePlan:
       claims that bind into later stages, pending waitall counts — lives
       in flat arrays threaded across events.
 
-    Claim arithmetic is copied verbatim from the scalar interpreter
-    (non-associative float adds stay in event order), so outcomes are
+    Claim arithmetic is :class:`~repro.sim.fabric.Fabric`'s, in the
+    engine's event order (non-associative float adds are never regrouped),
+    so outcomes are
     bit-identical to the Engine, including watchdog-budget boundaries and
     deadlock reporting.
     """
@@ -685,12 +256,11 @@ class _MultiStagePlan:
 
 def _compile_multi(schedule: "Schedule", machine: "Machine"):
     """Build a :class:`_MultiStagePlan`, or ``None`` when a receive has no
-    matching send (the run deadlocks; the scalar interpreter reports it
-    with exact engine semantics)."""
-    segments, n_lanes = compiled_for(schedule, machine, True)
+    matching send (the run deadlocks; the engine reports it exactly)."""
     send_slots, n_slots, fully_matched = static_matching(schedule)
     if not fully_matched:
         return None
+    segments, n_lanes = _compile(schedule, machine)
     call_overhead = machine.params.call_overhead
 
     n = schedule.n_ranks
@@ -724,16 +294,16 @@ def _compile_multi(schedule: "Schedule", machine: "Machine"):
                 sl = send_slots[si]
                 si += 1
                 messages += 1
-                bytes_total += op[3]
+                bytes_total += op[2]
                 if code == _SEND_SELF:
-                    sends.append((0, pos, sl, op[4]))
+                    sends.append((0, pos, sl, op[3]))
                 elif code == _SEND_LOCAL:
-                    sends.append((1, pos, sl, op[1], op[4], op[5]))
+                    sends.append((1, pos, sl, op[1], op[3], op[4]))
                 elif code == _SEND_NODE:
-                    sends.append((2, pos, sl, op[1], op[4], op[5], op[6],
-                                  op[7], op[8]))
+                    sends.append((2, pos, sl, op[1], op[3], op[4], op[5],
+                                  op[6], op[7]))
                 else:  # _SEND_GROUP — pre-classify the lane choice shape
-                    groups, fixed = op[10], op[11]
+                    groups, fixed = op[9], op[10]
                     if groups is None:
                         lmode, lspec = 0, fixed        # oblivious lane set
                     elif len(groups) == 1:
@@ -743,8 +313,8 @@ def _compile_multi(schedule: "Schedule", machine: "Machine"):
                         lmode, lspec = (1, g) if len(g) == 2 else (2, g)
                     else:
                         lmode, lspec = 3, groups       # per-hop choices
-                    sends.append((3, pos, sl, op[1], op[4], op[5], op[6],
-                                  op[7], op[8], op[9], lmode, lspec))
+                    sends.append((3, pos, sl, op[1], op[3], op[4], op[5],
+                                  op[6], op[7], op[8], lmode, lspec))
             accl0 = None
             if first:
                 accl0 = np.add.accumulate(
@@ -774,8 +344,15 @@ def _compile_multi(schedule: "Schedule", machine: "Machine"):
 
 
 def multi_plan_for(schedule: "Schedule", machine: "Machine"):
-    """Memoized :func:`_compile_multi` via the structural plan cache."""
-    key = (structural_digest(schedule), machine_digest(machine), "multi")
+    """Memoized :func:`_compile_multi` via the structural plan cache.
+
+    The key is ``(schedule structural digest, machine digest)`` — see
+    :mod:`repro.sim.plancache` — so one compilation is shared across runs,
+    across alternating machines, and across distinct ``Schedule`` objects
+    describing the same pattern.  ``None`` (an unmatched receive) is
+    cached too.
+    """
+    key = (structural_digest(schedule), machine_digest(machine))
     plan = PLAN_CACHE.get(key)
     if plan is _MISS:
         plan = _compile_multi(schedule, machine)
@@ -788,10 +365,10 @@ def _execute_multi(
     max_sim_time: float | None,
     max_events: int | None,
 ) -> FastRunOutcome:
-    """One run of a multi-stage plan (see :class:`_MultiStagePlan`).
+    """One run of a compiled plan (see :class:`_MultiStagePlan`).
 
     The heap discipline — pushes, pops, sequence numbers, budget checks —
-    is the scalar interpreter's, verbatim; segment interiors use the
+    is the engine's, verbatim; segment interiors use the
     precompiled tables.  Receive slots run a small state machine replacing
     the posted/unexpected dict rendezvous: 0 unposted, 1 posted (owner
     still running its segment), 2 delivered before post, 3 consumed,
@@ -1083,15 +660,14 @@ def execute_schedule(
     *,
     max_sim_time: float | None = None,
     max_events: int | None = None,
-    model_contention: bool = True,
-) -> FastRunOutcome:
-    """Replay ``schedule`` on ``machine``; engine-equivalent outcome.
+) -> FastRunOutcome | None:
+    """Replay ``schedule`` on ``machine``; bit-identical to the engine.
 
-    Bit-identical to :class:`~repro.sim.engine.Engine` with
-    ``model_contention=True``; the closed-form Hockney costing with
-    ``False`` (see module docstring).  Raises the engine's own
-    :class:`SimTimeoutError`/:class:`DeadlockError` with matching boundary
-    semantics and deterministic blocked-rank detail.
+    Returns ``None`` when a receive has no matching send: that run
+    deadlocks, and the caller runs the :class:`~repro.sim.engine.Engine`,
+    which reports the exact blocked state.  Otherwise raises the engine's
+    own :class:`SimTimeoutError`/:class:`DeadlockError` with matching
+    boundary semantics and deterministic blocked-rank detail.
     """
     if machine.params.jitter > 0:
         raise ValueError("fast path requires a jitter-free machine (use the engine)")
@@ -1099,333 +675,7 @@ def execute_schedule(
         raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
     if max_events is not None and max_events <= 0:
         raise ValueError(f"max_events must be > 0, got {max_events}")
-
-    if model_contention:
-        if max_sim_time is None and max_events is None:
-            # Single-stage schedules take the fully batched cohort path.
-            plan = batch_plan_for(schedule, machine)
-            if plan is not None:
-                return _execute_batch(plan)
-        # Everything else that is fully matched — multi-stage schedules,
-        # and watchdog-budgeted runs of any stage count — takes the
-        # heap-driven multi-stage executor.  The scalar interpreter
-        # remains for analytic costing and unmatched-receive deadlocks.
-        mplan = multi_plan_for(schedule, machine)
-        if mplan is not None:
-            return _execute_multi(mplan, max_sim_time, max_events)
-    return _interpret(schedule, machine, max_sim_time, max_events,
-                      model_contention)
-
-
-def _interpret(
-    schedule: "Schedule",
-    machine: "Machine",
-    max_sim_time: float | None,
-    max_events: int | None,
-    model_contention: bool,
-) -> FastRunOutcome:
-    """The scalar opcode interpreter — the fast path's reference tier.
-
-    Handles what the batched executors do not: analytic costing
-    (``model_contention=False``) and schedules with unmatched receives
-    (deadlock reporting with exact engine semantics).  It is also the
-    oracle the executor equivalence tests compare against, so it accepts
-    every schedule.
-    """
-    segments, n_lanes = compiled_for(schedule, machine, model_contention)
-    n = schedule.n_ranks
-    call_overhead = machine.params.call_overhead
-    n_nodes = machine.spec.nodes
-
-    rank_now = [0.0] * n
-    send_next = [0.0] * n
-    recv_next = [0.0] * n
-    nic_tx_next = [0.0] * n_nodes
-    nic_rx_next = [0.0] * n_nodes
-    lane_next = [0.0] * n_lanes
-    # Matching state: per-dst dicts keyed by (src, tag).  A pending receive
-    # is a mutable record [post_time, completion, owner_is_waiting].
-    posted: list[dict] = [dict() for _ in range(n)]
-    unexpected: list[dict] = [dict() for _ in range(n)]
-    wait_remaining = [0] * n
-    wait_latest = [0.0] * n
-    seg_idx = [0] * n
-    finished: dict[int, float] = {}
-    messages = 0
-    bytes_total = 0
-
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
-    # Spawn order and sequence allocation mirror Engine.spawn_all exactly:
-    # one event (and one seq) per rank with a non-None program, rank order.
-    for rank in range(n):
-        if segments[rank] is None:
-            finished[rank] = 0.0
-        else:
-            seq += 1
-            heap.append((0.0, seq, rank))
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    def _deliver(dst: int, key: tuple[int, int], arrival: float) -> None:
-        nonlocal seq
-        table = posted[dst]
-        q = table.get(key)
-        if q:
-            rec = q.popleft()
-            if not q:
-                del table[key]
-            p = rec[0]
-            completion = arrival if arrival > p else p
-            if rec[2]:  # owner blocked in a waitall on this receive
-                if completion > wait_latest[dst]:
-                    wait_latest[dst] = completion
-                r = wait_remaining[dst] - 1
-                wait_remaining[dst] = r
-                if not r:
-                    seq += 1
-                    heappush(heap, (wait_latest[dst], seq, dst))
-            else:
-                rec[1] = completion
-        else:
-            tu = unexpected[dst]
-            uq = tu.get(key)
-            if uq is None:
-                tu[key] = uq = deque()
-            uq.append(arrival)
-
-    def _blocked_detail() -> str:
-        parts = []
-        for r in range(n):
-            if r in finished or segments[r] is None:
-                continue
-            rem = wait_remaining[r]
-            state = f"waitall({rem} pending)" if rem else "runnable"
-            parts.append(f"rank {r} ({state})")
-        return ", ".join(parts) if parts else "none"
-
-    max_time = float("inf") if max_sim_time is None else max_sim_time
-    events = 0
-    while heap:
-        time, _, rank = heappop(heap)
-        if time > max_time:
-            raise SimTimeoutError(
-                f"simulated-time budget exceeded: next event at "
-                f"{time:.6e}s > max_sim_time={max_time:.6e}s "
-                f"after {events} event(s); processes: {_blocked_detail()}",
-                budget="sim_time", events_processed=events, limit=max_time,
-            )
-        events += 1
-        if max_events is not None and events > max_events:
-            raise SimTimeoutError(
-                f"event budget exceeded: processed {events - 1} events "
-                f"(max_events={max_events}); processes: {_blocked_detail()}",
-                budget="events", events_processed=events - 1, limit=max_events,
-            )
-        now = rank_now[rank]
-        if time > now:
-            now = time
-        segs = segments[rank]
-        i = seg_idx[rank]
-        nseg = len(segs)
-        while True:
-            if i == nseg:
-                rank_now[rank] = now
-                finished[rank] = now
-                break
-            ops, has_wait = segs[i]
-            i += 1
-            # Online waitall folding: ``lat`` accumulates the max over
-            # determined completions as they happen (max is order-free, so
-            # this is bit-identical to the engine's fold-at-wait);
-            # ``pend`` collects only still-pending receive records.
-            lat = 0.0
-            pend: list = []
-            unexpected_r = unexpected[rank]
-            posted_r = posted[rank]
-            for op in ops:
-                if op.__class__ is float:  # charge (memcpy)
-                    now += op
-                    continue
-                code = op[0]
-                if code == _RECV:
-                    now += call_overhead
-                    key = op[1]
-                    uq = unexpected_r.get(key)
-                    if uq:
-                        arrival = uq.popleft()
-                        if not uq:
-                            del unexpected_r[key]
-                        c = arrival if arrival > now else now
-                        if c > lat:
-                            lat = c
-                    else:
-                        rec = [now, None, False]
-                        pq = posted_r.get(key)
-                        if pq is None:
-                            posted_r[key] = pq = deque()
-                        pq.append(rec)
-                        pend.append(rec)
-                elif code == _SEND_NODE:
-                    now += call_overhead
-                    dst = op[1]
-                    port_dur = op[4]
-                    nic_dur = op[5]
-                    nf = send_next[rank]
-                    start = now if now > nf else nf
-                    end = start + port_dur
-                    send_next[rank] = end
-                    if end > lat:
-                        lat = end
-                    pe = end
-                    nf = nic_tx_next[op[7]]
-                    s = start if start > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_tx_next[op[7]] = e
-                    prev = s
-                    pe = e
-                    nf = nic_rx_next[op[8]]
-                    s = prev if prev > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_rx_next[op[8]] = e
-                    prev = s
-                    pe = e
-                    nf = recv_next[dst]
-                    s = prev if prev > nf else nf
-                    e = s + port_dur
-                    if e < pe:
-                        e = pe
-                    recv_next[dst] = e
-                    messages += 1
-                    bytes_total += op[3]
-                    _deliver(dst, op[2], e + op[6])
-                elif code == _SEND_GROUP:
-                    now += call_overhead
-                    dst = op[1]
-                    port_dur = op[4]
-                    nic_dur = op[5]
-                    link_dur = op[6]
-                    nf = send_next[rank]
-                    start = now if now > nf else nf
-                    end = start + port_dur
-                    send_next[rank] = end
-                    if end > lat:
-                        lat = end
-                    pe = end
-                    nf = nic_tx_next[op[8]]
-                    s = start if start > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_tx_next[op[8]] = e
-                    prev = s
-                    pe = e
-                    groups = op[10]
-                    if groups is None:
-                        lanes = op[11]
-                    elif len(groups) == 1:
-                        # Adaptive: least-loaded lane, first minimal on ties
-                        # (same tie-break as Fabric.transmit).
-                        group = groups[0]
-                        if len(group) == 2:
-                            a = group[0]
-                            b = group[1]
-                            lanes = ((a if lane_next[a] <= lane_next[b] else b),)
-                        else:
-                            lanes = (min(group, key=lane_next.__getitem__),)
-                    else:
-                        lanes = [min(g, key=lane_next.__getitem__) for g in groups]
-                    for ln in lanes:
-                        nf = lane_next[ln]
-                        s = prev if prev > nf else nf
-                        e = s + link_dur
-                        if e < pe:
-                            e = pe
-                        lane_next[ln] = e
-                        prev = s
-                        pe = e
-                    nf = nic_rx_next[op[9]]
-                    s = prev if prev > nf else nf
-                    e = s + nic_dur
-                    if e < pe:
-                        e = pe
-                    nic_rx_next[op[9]] = e
-                    prev = s
-                    pe = e
-                    nf = recv_next[dst]
-                    s = prev if prev > nf else nf
-                    e = s + port_dur
-                    if e < pe:
-                        e = pe
-                    recv_next[dst] = e
-                    messages += 1
-                    bytes_total += op[3]
-                    _deliver(dst, op[2], e + op[7])
-                elif code == _SEND_LOCAL:
-                    now += call_overhead
-                    dst = op[1]
-                    port_dur = op[4]
-                    nf = send_next[rank]
-                    start = now if now > nf else nf
-                    end = start + port_dur
-                    send_next[rank] = end
-                    if end > lat:
-                        lat = end
-                    nf = recv_next[dst]
-                    s = start if start > nf else nf
-                    e = s + port_dur
-                    if e < end:
-                        e = end
-                    recv_next[dst] = e
-                    messages += 1
-                    bytes_total += op[3]
-                    _deliver(dst, op[2], e + op[5])
-                elif code == _SEND_SELF:
-                    now += call_overhead
-                    done = now + op[4]
-                    if done > lat:
-                        lat = done
-                    messages += 1
-                    bytes_total += op[3]
-                    _deliver(op[1], op[2], done)
-                else:  # _SEND_FREE: analytic, contention ignored
-                    now += call_overhead
-                    done = now + op[4]
-                    if done > lat:
-                        lat = done
-                    messages += 1
-                    bytes_total += op[3]
-                    _deliver(op[1], op[2], now + op[5])
-            if has_wait:
-                latest = now if now > lat else lat
-                remaining = 0
-                for rec in pend:
-                    c = rec[1]
-                    if c is None:
-                        rec[2] = True
-                        remaining += 1
-                    elif c > latest:
-                        latest = c
-                seg_idx[rank] = i
-                rank_now[rank] = now
-                if remaining:
-                    wait_remaining[rank] = remaining
-                    wait_latest[rank] = latest
-                else:
-                    # Engine parity: an all-determined waitall still costs
-                    # one scheduled wake (and one sequence number).
-                    seq += 1
-                    heappush(heap, (latest, seq, rank))
-                break
-
-    if len(finished) != n:
-        raise DeadlockError(
-            f"simulation deadlocked; blocked processes: {_blocked_detail()}"
-        )
-    simulated = max(finished.values(), default=0.0)
-    return FastRunOutcome(simulated, finished, messages, bytes_total, events)
+    plan = multi_plan_for(schedule, machine)
+    if plan is None:
+        return None
+    return _execute_multi(plan, max_sim_time, max_events)

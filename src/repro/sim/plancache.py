@@ -1,16 +1,16 @@
 """Cross-run compiled-plan cache for the hybrid fast path.
 
 :mod:`repro.sim.fastpath` compiles a :class:`~repro.sim.schedule.Schedule`
-into priced opcode segments and (when eligible) batched executor plans.
-Compilation walks every op and prices every message cohort — cheap next to
-a DES run, but pure overhead when a sweep revisits the same schedule shape
-on the same machine, which Fig. 5-style grids do constantly (every repeat,
-every algorithm/size cell sharing a topology, every warm bench pass).
+into a priced executor plan.  Compilation walks every op and prices every
+message cohort — cheap next to a DES run, but pure overhead when a sweep
+revisits the same schedule shape on the same machine, which Fig. 5-style
+grids do constantly (every repeat, every algorithm/size cell sharing a
+topology, every warm bench pass).
 
 This module provides the process-wide memo for those products: a bounded
 LRU keyed on *structure*, not identity —
 
-``(schedule structural digest, machine digest, plan flavor)``
+``(schedule structural digest, machine digest)``
 
 * the schedule half is :func:`repro.sim.schedule.structural_digest`
   (rank count + full op streams: the compiler's exact input), so two
@@ -21,14 +21,14 @@ LRU keyed on *structure*, not identity —
   fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster
   shape, every Hockney constant, the network topology's constructor state
   including placement permutations) — everything that can influence a
-  priced plan;
-* the flavor names the product (``"segments"``, ``"batch"``, ``"multi"``)
-  plus any compile mode bits.
+  priced plan.
+
+Each (schedule, machine) pair therefore holds exactly one entry.
 
 Cached values hold only plain numbers, tuples, and numpy arrays — never a
 ``Machine`` or ``Schedule`` reference — so retention cannot leak simulation
-state.  ``None`` results (an ineligible schedule) are cached too: deciding
-ineligibility costs a full compile walk.
+state.  ``None`` results (a schedule with an unmatched receive) are cached
+too: deciding that costs a matching walk.
 
 Stats (hits/misses/evictions) are process-global and surfaced through
 ``repro.exec`` sweep reports and the wallclock harness payload; see
@@ -42,10 +42,9 @@ from collections import OrderedDict
 from typing import Any
 
 #: Default LRU capacity.  Plans for paper-scale schedules are megabytes, so
-#: the bound stays modest — but it must hold a whole bench grid: the small
-#: compare grid alone creates ~66 distinct (schedule, machine, flavor)
-#: triples, and evicting mid-grid forfeits the warm-repeat hits the cache
-#: exists for.
+#: the bound stays modest — but it must hold a whole bench grid (one entry
+#: per distinct (schedule, machine) pair): evicting mid-grid forfeits the
+#: warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
 
 _MISS = object()
@@ -118,7 +117,7 @@ def machine_digest(machine: Any) -> str:
 
 
 class PlanCache:
-    """Bounded LRU over ``(schedule digest, machine digest, flavor)`` keys."""
+    """Bounded LRU over ``(schedule digest, machine digest)`` keys."""
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions")
 

@@ -22,29 +22,13 @@ determines resource-claim order and therefore timing).  A rank whose program
 would return ``None`` (nothing to do) gets ``None`` instead of an op list —
 the engine never spawns such ranks, and event sequence parity depends on
 reproducing that.
-
-The module also hosts the per-stage contention analyzer
-(:func:`analyze_contention`): stage ``k`` is the cohort of every rank's
-``k``-th wait-delimited segment, and a stage is *contention-free* when no
-endpoint port, node NIC, or shared link is claimed by more than one message
-in it.  Contention-free stages are the regime where the closed-form Hockney
-costing (``sim_mode="analytic"``) is exact; the analyzer's report is the
-tolerance contract's measurable half (see docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.cluster.spec import LinkClass
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.machine import Machine
+from dataclasses import dataclass
 
 
 @dataclass
@@ -132,7 +116,7 @@ def static_matching(schedule: Schedule):
     receive ever matches it — the engine parks such messages in the
     unexpected table forever, with no timing effect), and ``fully_matched``
     is False when some receive has no matching send (the run deadlocks;
-    the scalar interpreter reports it exactly).
+    the fast path declines it and the engine reports the deadlock).
     """
     recv_q: dict[tuple, deque] = {}
     n_slots = 0
@@ -157,123 +141,3 @@ def static_matching(schedule: Schedule):
                 send_slots.append(q.popleft() if q else -1)
     fully_matched = not any(recv_q.values())
     return send_slots, n_slots, fully_matched
-
-
-@dataclass
-class StageReport:
-    """Contention classification of one stage (see module docstring).
-
-    ``max_claims`` maps resource family -> the largest number of messages
-    claiming one resource of that family during the stage; the stage is
-    contention-free iff every maximum is <= 1.
-    """
-
-    stage: int
-    messages: int
-    max_claims: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def contention_free(self) -> bool:
-        return all(v <= 1 for v in self.max_claims.values())
-
-
-def _stage_messages(schedule: Schedule) -> list[list[tuple[int, int, int]]]:
-    """Per stage: ``(src, dst, nbytes)`` of every send posted in it.
-
-    Stage ``k`` collects the sends between rank ``r``'s ``k-1``-th and
-    ``k``-th waits, for every rank — the cohort that is in flight together.
-    """
-    stages: list[list[tuple[int, int, int]]] = []
-    for rank, ops in enumerate(schedule.ops):
-        if not ops:
-            continue
-        stage = 0
-        for op in ops:
-            kind = op[0]
-            if kind == "wait":
-                stage += 1
-            elif kind == "send":
-                while len(stages) <= stage:
-                    stages.append([])
-                stages[stage].append((rank, op[1], op[2]))
-    return stages
-
-
-def analyze_contention(schedule: Schedule, machine: "Machine") -> list[StageReport]:
-    """Classify every stage of ``schedule`` on ``machine``.
-
-    Claim multiplicities are exact for endpoint ports and node NICs
-    (messages map to them statically); for shared inter-group links the
-    analyzer counts messages per bottleneck *group* — adaptive lane choice
-    can only spread load within a group, so a group total of <= 1 is a
-    sound (and tight) contention-free criterion.
-    """
-    spec = machine.spec
-    node_of = spec.node_of
-    reports: list[StageReport] = []
-    for stage, msgs in enumerate(_stage_messages(schedule)):
-        report = StageReport(stage=stage, messages=len(msgs))
-        if not msgs:
-            report.max_claims = {}
-            reports.append(report)
-            continue
-        send_ports: list[int] = []
-        recv_ports: list[int] = []
-        nic_tx: list[int] = []
-        nic_rx: list[int] = []
-        link_groups: dict = {}
-        for src, dst, _nbytes in msgs:
-            if src == dst:
-                continue  # local memcpy: no shared resource
-            send_ports.append(src)
-            recv_ports.append(dst)
-            cls = machine.link_class(src, dst)
-            if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-                ns, nd = node_of(src), node_of(dst)
-                nic_tx.append(ns)
-                nic_rx.append(nd)
-                if cls is LinkClass.INTER_GROUP:
-                    for key in machine.network.shared_link_keys(ns, nd):
-                        link_groups[key] = link_groups.get(key, 0) + 1
-
-        def _max_count(values: list[int]) -> int:
-            if not values:
-                return 0
-            return int(np.bincount(np.asarray(values, dtype=np.intp)).max())
-
-        report.max_claims = {
-            "send_ports": _max_count(send_ports),
-            "recv_ports": _max_count(recv_ports),
-            "nic_tx": _max_count(nic_tx),
-            "nic_rx": _max_count(nic_rx),
-            "links": max(link_groups.values(), default=0),
-        }
-        reports.append(report)
-    return reports
-
-
-def contention_free(schedule: Schedule, machine: "Machine") -> bool:
-    """True when every stage of ``schedule`` is contention-free.
-
-    This is the regime where the closed-form Hockney costing holds within
-    the calibrated tolerance: within a stage no resource queue ever binds.
-    For a *single-stage* schedule that makes the analytic path bit-identical
-    to the engine; across stages a straggler's claim can still delay an
-    early next-stage message, which is exactly the residual the tolerance
-    contract bounds (see docs/ARCHITECTURE.md).
-
-    Memoized per ``(schedule, machine)`` identity — the analyzer walks
-    every send, and auto-mode runs consult it on every invocation.  The
-    memo is *keyed* by machine (holding a strong reference, so an ``is``
-    check can never alias a recycled object id): alternating machines over
-    one schedule each keep their verdict instead of evicting each other.
-    """
-    cache = getattr(schedule, "_cf_cache", None)
-    if cache is None:
-        cache = schedule._cf_cache = {}
-    entry = cache.get(id(machine))
-    if entry is not None and entry[0] is machine:
-        return entry[1]
-    verdict = all(r.contention_free for r in analyze_contention(schedule, machine))
-    cache[id(machine)] = (machine, verdict)
-    return verdict

@@ -53,9 +53,7 @@ The catalog (see ``docs/ARCHITECTURE.md`` §6 for the full rationale):
     simulated time, counters, and per-class aggregates are bit-identical.
 ``hybrid_equivalence``
     Clean scenarios only: re-running with ``sim_mode="auto"`` must be
-    bit-identical to the DES on contended schedules (exact replay) and
-    within the analytic tolerance contract, never exceeding the DES time,
-    on contention-free ones (closed form) — the hybrid path and the DES
+    bit-identical to the DES (exact replay) — the hybrid path and the DES
     are mutual differential oracles.
 ``dh_structure``
     Structural checks on the Distance Halving pattern itself: the
@@ -543,20 +541,14 @@ def check_hybrid_equivalence(
 ) -> list[Violation]:
     """The hybrid fast path is a mutual oracle for the DES (and vice versa).
 
-    Every clean trial is re-run with ``sim_mode="auto"``.  When the hybrid
-    path replays the schedule (``sim_path="fastpath"`` — any contended
-    schedule), the run must be *bit-identical* to the DES in simulated
-    time, message/byte counters, and delivered buffers.  When the per-stage
-    analyzer routes it to the closed form (``sim_path="analytic"`` — fully
-    contention-free schedules), delivered buffers and counters must still
-    be identical and the simulated time must agree within
-    :data:`~repro.sim.fastpath.ANALYTIC_RTOL` without ever *exceeding* the
-    DES time (the closed form is a lower bound).
+    Every clean trial is re-run with ``sim_mode="auto"``, and the run must
+    be *bit-identical* to the DES in simulated time, message/byte
+    counters, and delivered buffers — whether it replayed the schedule
+    (``sim_path="fastpath"``) or fell back to the engine.
     """
     import dataclasses
 
     from repro.exec.spec import RunSpec
-    from repro.sim.fastpath import ANALYTIC_RTOL
 
     options = dataclasses.replace(
         scenario.options, trace=False, sim_mode="auto",
@@ -594,21 +586,11 @@ def check_hybrid_equivalence(
                 f"{auto.results == run.results}",
             ))
             continue
-        if auto.sim_path == "analytic":
-            base = run.simulated_time
-            gap = base - auto.simulated_time
-            if gap < 0 or (base > 0 and gap / base > ANALYTIC_RTOL):
-                violations.append(Violation(
-                    "hybrid_equivalence", name,
-                    f"analytic time {auto.simulated_time!r} outside the "
-                    f"tolerance contract vs DES {base!r} "
-                    f"(rtol={ANALYTIC_RTOL}, lower-bound required)",
-                    data={"analytic": auto.simulated_time, "des": base},
-                ))
-        elif auto.simulated_time != run.simulated_time:
+        if auto.simulated_time != run.simulated_time:
             violations.append(Violation(
                 "hybrid_equivalence", name,
-                f"contended schedule must replay bit-identically: "
+                f"auto run must match the DES bit-identically "
+                f"(sim_path={auto.sim_path}): "
                 f"auto {auto.simulated_time!r} != des {run.simulated_time!r}",
                 data={"auto": auto.simulated_time, "des": run.simulated_time},
             ))

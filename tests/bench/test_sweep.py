@@ -99,8 +99,7 @@ class TestPaperSmokeSweep:
         assert cold["execution"]["computed"] == cold["execution"]["total"]
         # Auto mode must never silently fall back to the engine here: the
         # slice has no faults, no trace, and a jitter-free machine.
-        assert all(r["sim_path"] in ("fastpath", "analytic")
-                   for r in cold["records"])
+        assert all(r["sim_path"] == "fastpath" for r in cold["records"])
         warm = paper_smoke_sweep(
             SweepConfig(cache_dir=tmp_path, use_cache=True),
             ranks=32, ranks_per_socket=4,

@@ -9,6 +9,8 @@ default digest is stable across the ``sim_mode`` field's introduction.
 
 import itertools
 
+import pytest
+
 from repro.collectives.runner import RunOptions
 from repro.exec.spec import MachineSpec, RunSpec, TopologySpec
 from repro.sim.faults import (
@@ -55,7 +57,6 @@ OPTION_VARIANTS = {
     "max_events": RunOptions(max_events=1000),
     "verify": RunOptions(verify=True),
     "sim_mode_auto": RunOptions(sim_mode="auto"),
-    "sim_mode_analytic": RunOptions(sim_mode="analytic"),
     "on_failure_shrink": RunOptions(on_failure="shrink"),
     "on_failure_degrade": RunOptions(on_failure="degrade"),
 }
@@ -148,13 +149,18 @@ class TestDigestStability:
 
     def test_non_default_sim_mode_is_emitted(self):
         assert RunOptions(sim_mode="auto").canonical()["sim_mode"] == "auto"
-        assert (RunOptions(sim_mode="analytic").canonical()["sim_mode"]
-                == "analytic")
 
     def test_sim_mode_round_trips(self):
-        for mode in ("des", "auto", "analytic"):
+        for mode in ("des", "auto"):
             opts = RunOptions(sim_mode=mode)
             assert RunOptions.from_dict(opts.canonical()).sim_mode == mode
+
+    def test_removed_analytic_mode_is_rejected(self):
+        removed = "analytic"  # the closed-form mode auto no longer has
+        with pytest.raises(ValueError, match="'des' or 'auto'"):
+            RunOptions(sim_mode=removed)
+        with pytest.raises(ValueError, match="'des' or 'auto'"):
+            RunOptions.from_dict({"sim_mode": removed})
 
     def test_default_canonical_omits_crash_fields(self):
         """Digest-stability pin for the fail-stop additions: defaults for

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.collectives.base import get_algorithm
-from repro.collectives.runner import run_allgather
+from repro.collectives.runner import RunOptions, run_allgather
 from repro.topology import erdos_renyi_topology
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_sim_times.json"
@@ -55,6 +55,24 @@ def test_matches_seed_engine_exactly(row):
     run = run_allgather(
         algorithm, topology, machine, row["msg_bytes"]
     )
+    assert run.simulated_time == row["simulated_time"]
+    assert run.messages_sent == row["messages_sent"]
+    assert run.bytes_sent == row["bytes_sent"]
+
+
+@pytest.mark.parametrize("row", _rows())
+def test_fast_path_matches_seed_engine_exactly(row):
+    """The same grid through ``sim_mode="auto"``: the schedule executor
+    must replay every golden row exactly."""
+    factory, (n, density, seed) = MACHINES[row["machine"]]
+    machine = factory()
+    topology = erdos_renyi_topology(n, density, seed=seed)
+    algorithm = get_algorithm(row["algorithm"], **row["kwargs"])
+    run = run_allgather(
+        algorithm, topology, machine, row["msg_bytes"],
+        options=RunOptions(sim_mode="auto"),
+    )
+    assert run.sim_path == "fastpath"
     assert run.simulated_time == row["simulated_time"]
     assert run.messages_sent == row["messages_sent"]
     assert run.bytes_sent == row["bytes_sent"]

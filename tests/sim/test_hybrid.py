@@ -1,16 +1,13 @@
-"""Hybrid fast-path properties: auto/DES equivalence, the analytic
-tolerance contract, batch/interpreter agreement, and watchdog parity.
+"""Hybrid fast-path properties: auto/DES equivalence, executor/Engine
+agreement, and watchdog parity.
 
 These are the accuracy gates for ``sim_mode`` (see docs/ARCHITECTURE.md):
 
-* ``auto`` must equal the DES *bit-for-bit* on contended schedules (the
-  fast path is an exact replay, not an approximation);
-* on fully contention-free schedules ``auto`` routes to the closed-form
-  analytic costing, which must stay within
-  :data:`~repro.sim.fastpath.ANALYTIC_RTOL` of the DES and never exceed it;
-* the single-stage batched executor and the multi-stage executor must
-  agree bit-for-bit with the generic opcode interpreter (which remains
-  the semantic reference and the fallback for unmatched-recv schedules);
+* ``auto`` must equal the DES *bit-for-bit* on every schedule, contended
+  or contention-free (the fast path is an exact replay, not an
+  approximation);
+* the schedule executor must agree bit-for-bit with the Engine running
+  the same schedule op for op (:mod:`tests.sim.engine_oracle`);
 * watchdog budgets must trip on the same event with the same structured
   diagnostics in both paths.
 """
@@ -23,15 +20,9 @@ from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
 from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import (
-    ANALYTIC_RTOL,
-    _interpret,
-    batch_plan_for,
-    execute_schedule,
-    multi_plan_for,
-)
+from repro.sim.fastpath import execute_schedule, multi_plan_for
 from repro.sim.faults import FaultPlan, Straggler
-from repro.sim.schedule import analyze_contention, contention_free
+from tests.sim.engine_oracle import run_on_engine
 
 ALGORITHMS = [
     ("naive", {}),
@@ -83,8 +74,6 @@ class TestAutoEqualsDes:
                             options=RunOptions(sim_mode="des"))
         auto = run_allgather(algorithm, topology, machine, 4096,
                              options=RunOptions(sim_mode="auto"))
-        # Dense-enough random graphs always share receive ports, so the
-        # analyzer must route these through the exact replay.
         assert auto.sim_path == "fastpath"
         assert auto.simulated_time == des.simulated_time
         assert auto.finish_times == des.finish_times
@@ -145,104 +134,75 @@ class TestDesFallback:
 
 
 class TestAnalyticContract:
-    """Contention-free schedules route to the closed form; contended runs
-    under sim_mode="analytic" give a documented lower bound."""
+    """Contention-free schedules — where no port/NIC/link is ever claimed
+    twice, the regime a closed-form costing could price — replay exactly
+    like any other: same path, same time as the DES."""
 
-    def _contention_free_case(self):
+    def _uncontended_case(self):
         # 4 ranks spread one-per-socket over 2 nodes at density 0.05:
         # so few edges that no port/NIC/link is ever claimed twice.
         topology, machine = _build(4, 2, 0.05, seed=3, sockets=2)
         return topology, machine
 
-    def test_case_is_actually_contention_free(self):
-        topology, machine = self._contention_free_case()
-        algorithm = _setup("naive", {}, topology, machine)
-        schedule = _schedule_of(algorithm, topology, machine)
-        reports = analyze_contention(schedule, machine)
-        assert all(r.contention_free for r in reports)
-        assert contention_free(schedule, machine)
-
     @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
-    def test_auto_routes_contention_free_to_analytic(self, name, kwargs):
-        topology, machine = self._contention_free_case()
+    def test_uncontended_case_replays_exactly(self, name, kwargs):
+        topology, machine = self._uncontended_case()
         algorithm = _setup(name, kwargs, topology, machine)
         des = run_allgather(algorithm, topology, machine, 64,
                             options=RunOptions(sim_mode="des"))
         auto = run_allgather(algorithm, topology, machine, 64,
                              options=RunOptions(sim_mode="auto"))
-        assert auto.sim_path == "analytic"
-        # Tolerance contract: never above the DES, within ANALYTIC_RTOL.
-        gap = des.simulated_time - auto.simulated_time
-        assert gap >= 0.0
-        if des.simulated_time > 0:
-            assert gap / des.simulated_time <= ANALYTIC_RTOL
+        assert auto.sim_path == "fastpath"
+        assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
         assert auto.results == des.results
         assert auto.messages_sent == des.messages_sent
 
-    def test_single_stage_contention_free_is_exact(self):
-        # Naive is single-stage (one waitall): the analytic closed form is
-        # bit-identical there, not just within tolerance.
-        topology, machine = self._contention_free_case()
+    def test_single_stage_uncontended_is_exact(self):
+        # Naive is single-stage (one waitall): the executor replays its
+        # one segment per rank bit-identically, events included.
+        topology, machine = self._uncontended_case()
         algorithm = _setup("naive", {}, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 64,
-                            options=RunOptions(sim_mode="des"))
-        auto = run_allgather(algorithm, topology, machine, 64,
-                             options=RunOptions(sim_mode="auto"))
-        assert auto.sim_path == "analytic"
-        assert auto.simulated_time == des.simulated_time
+        schedule = _schedule_of(algorithm, topology, machine)
+        fast = execute_schedule(schedule, machine)
+        ref = run_on_engine(schedule, machine)
+        assert fast.simulated_time == ref.simulated_time
+        assert fast.events_processed == ref.events_processed
 
-    @pytest.mark.parametrize("name,kwargs", ALGORITHMS)
-    def test_forced_analytic_is_lower_bound_when_contended(self, name, kwargs):
-        topology, machine = _build(32, 2, 0.4, seed=9)
-        algorithm = _setup(name, kwargs, topology, machine)
-        des = run_allgather(algorithm, topology, machine, 4096,
-                            options=RunOptions(sim_mode="des"))
-        forced = run_allgather(algorithm, topology, machine, 4096,
-                               options=RunOptions(sim_mode="analytic"))
-        assert forced.sim_path == "analytic"
-        assert forced.simulated_time <= des.simulated_time
-        assert forced.results == des.results
+
+def _assert_matches_engine(schedule, machine):
+    fast = execute_schedule(schedule, machine)
+    ref = run_on_engine(schedule, machine)
+    assert fast.simulated_time == ref.simulated_time
+    assert fast.finish_times == ref.finish_times
+    assert fast.messages_sent == ref.messages_sent
+    assert fast.bytes_sent == ref.bytes_sent
+    assert fast.events_processed == ref.events_processed
 
 
 class TestBatchExecutor:
-    """The batched executors (single-stage cohort tables, multi-stage
-    heap replay) must agree with the generic interpreter bit-for-bit."""
+    """The schedule executor (segment interiors batched, events replayed
+    in the engine's heap order) must agree with the Engine running the
+    same schedule bit-for-bit, for single- and multi-stage schedules."""
 
-    def test_naive_single_stage_is_batch_eligible(self):
+    def test_naive_single_stage_takes_the_multi_executor(self):
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert batch_plan_for(schedule, machine) is not None
+        assert multi_plan_for(schedule, machine) is not None
 
     def test_multi_stage_takes_the_multi_executor(self):
-        # Multi-stage schedules are ineligible for the single-stage cohort
-        # executor but compile to a multi-stage plan that replays the
-        # engine bit-for-bit (events included).
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("common_neighbor", {"k": 4}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert batch_plan_for(schedule, machine) is None
-        plan = multi_plan_for(schedule, machine)
-        assert plan is not None
-        fast = execute_schedule(schedule, machine)
-        interp = _interpret(schedule, machine, None, None, True)
-        assert fast.simulated_time == interp.simulated_time
-        assert fast.finish_times == interp.finish_times
-        assert fast.events_processed == interp.events_processed
+        assert multi_plan_for(schedule, machine) is not None
+        _assert_matches_engine(schedule, machine)
 
-    def test_batch_matches_interpreter_bit_for_bit(self):
+    def test_single_stage_matches_engine_bit_for_bit(self):
         topology, machine = _build(64, 4, 0.25, seed=6)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 8192)
-        batched = execute_schedule(schedule, machine)
-        # The scalar opcode interpreter is the semantic reference; call it
-        # directly (budgeted dispatch now routes to the multi executor).
-        interp = _interpret(schedule, machine, None, None, True)
-        assert batched.simulated_time == interp.simulated_time
-        assert batched.finish_times == interp.finish_times
-        assert batched.messages_sent == interp.messages_sent
-        assert batched.bytes_sent == interp.bytes_sent
-        assert batched.events_processed == interp.events_processed
+        _assert_matches_engine(schedule, machine)
 
 
 class TestWatchdogParity:
@@ -329,7 +289,7 @@ class TestHybridCaching:
     def test_mode_interleaving_does_not_poison_caches(self):
         topology, machine = _build(16, 2, 0.3, seed=8)
         algorithm = _setup("naive", {}, topology, machine)
-        seq = ["auto", "analytic", "des", "auto", "des", "analytic"]
+        seq = ["auto", "des", "auto", "des"]
         by_mode = {}
         for mode in seq:
             run = run_allgather(algorithm, topology, machine, 1024,

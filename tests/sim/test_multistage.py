@@ -1,11 +1,10 @@
-"""Multi-stage executor edge cases and the compiled-plan cache.
+"""Schedule executor edge cases and the compiled-plan cache.
 
-The multi-stage executor (:func:`repro.sim.fastpath._execute_multi`) is an
-exact replay of the engine over statically-matched schedules; the scalar
-opcode interpreter (:func:`repro.sim.fastpath._interpret`) is its semantic
-reference (itself pinned to the engine by ``test_hybrid`` and the
-``hybrid_equivalence`` fuzz invariant).  These tests target the places the
-replay could plausibly diverge:
+The fast path's executor (:func:`repro.sim.fastpath._execute_multi`) is an
+exact replay of the engine over statically-matched schedules; the Engine
+itself, driven op-for-op by :func:`tests.sim.engine_oracle.run_on_engine`,
+is its oracle.  These tests target the places the replay could plausibly
+diverge:
 
 * resource claims that bind *across* stage boundaries (a straggler's send
   delaying a later-stage message on the same port);
@@ -14,7 +13,8 @@ replay could plausibly diverge:
 * watchdog budgets tripping on the same event as the engine;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
-  regression), plus LRU bounds and stats.
+  regression), one entry per (schedule, machine), plus LRU bounds and
+  stats.
 """
 
 import dataclasses
@@ -24,15 +24,8 @@ import pytest
 from repro.collectives.base import ExecutionContext, get_algorithm
 from repro.collectives.runner import RunOptions, run_allgather
 from repro.exec.spec import MachineSpec, TopologySpec
-from repro.sim.engine import SimTimeoutError
-from repro.sim.fastpath import (
-    _execute_multi,
-    _interpret,
-    batch_plan_for,
-    compiled_for,
-    execute_schedule,
-    multi_plan_for,
-)
+from repro.sim.engine import DeadlockError, SimTimeoutError
+from repro.sim.fastpath import execute_schedule, multi_plan_for
 from repro.sim.plancache import (
     PLAN_CACHE,
     PlanCache,
@@ -42,11 +35,11 @@ from repro.sim.plancache import (
 )
 from repro.sim.schedule import (
     Schedule,
-    contention_free,
     spawn_wake_order,
     static_matching,
     structural_digest,
 )
+from tests.sim.engine_oracle import run_on_engine
 
 
 def _machine(nodes=2, sockets=2, rps=4):
@@ -67,13 +60,20 @@ def _schedule_for(name, kwargs, n, nodes, density, msg=4096, seed=3):
 
 
 def _assert_identical(schedule, machine, **budgets):
-    """The multi executor must match the interpreter field-for-field."""
-    ref = _interpret(schedule, machine, budgets.get("max_sim_time"),
-                     budgets.get("max_events"), True)
-    plan = multi_plan_for(schedule, machine)
-    assert plan is not None
-    out = _execute_multi(plan, budgets.get("max_sim_time"),
-                         budgets.get("max_events"))
+    """The executor must match the Engine field-for-field — or, for a
+    budgeted run, trip the same watchdog with the same message.  Returns
+    the fast outcome (``None`` when the budget tripped)."""
+    try:
+        ref = run_on_engine(schedule, machine, **budgets)
+    except SimTimeoutError as exc:
+        with pytest.raises(SimTimeoutError) as fast:
+            execute_schedule(schedule, machine, **budgets)
+        assert str(fast.value) == str(exc)
+        assert fast.value.budget == exc.budget
+        assert fast.value.events_processed == exc.events_processed
+        return None
+    out = execute_schedule(schedule, machine, **budgets)
+    assert out is not None
     assert out.simulated_time == ref.simulated_time
     assert out.finish_times == ref.finish_times
     assert out.messages_sent == ref.messages_sent
@@ -151,27 +151,67 @@ class TestExecutorEdgeCases:
         assert fully_matched and slots == [0, -1] and n_slots == 1
         _assert_identical(schedule, machine)
 
-    def test_unmatched_recv_bails_to_interpreter(self):
-        # A receive with no sender deadlocks; the multi executor refuses to
-        # compile (fully_matched False) so the interpreter reports it.
-        machine = _machine(nodes=1, sockets=1, rps=2)
+    @staticmethod
+    def _unmatched_recv_schedule():
         ops = [
             [("send", 1, 64, 0), ("wait",)],
             [("recv", 0, 0), ("recv", 0, 7), ("wait",)],
         ]
-        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
+        return Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
+
+    def test_unmatched_recv_goes_to_the_des(self):
+        # A receive with no sender deadlocks; the executor declines the
+        # schedule (fully_matched False) and the Engine reports the exact
+        # blocked state.
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        schedule = self._unmatched_recv_schedule()
         assert static_matching(schedule)[2] is False
         assert multi_plan_for(schedule, machine) is None
-        from repro.sim.engine import DeadlockError
-        with pytest.raises(DeadlockError):
-            execute_schedule(schedule, machine)
+        assert execute_schedule(schedule, machine) is None
+        blocked = r"blocked processes: rank 1 \(waitall\(1 pending\)\)"
+        with pytest.raises(DeadlockError, match=blocked):
+            run_on_engine(schedule, machine)
+
+    def test_runner_falls_back_to_des_on_unmatched_recv(self):
+        # The runner treats a declined schedule like a missing one: the
+        # DES runs the algorithm's real program.
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        topology = TopologySpec("random", 2, density=1.0, seed=0).build()
+        algorithm = get_algorithm("naive")
+        algorithm.setup(topology, machine)
+        algorithm.schedule_for = lambda ctx: self._unmatched_recv_schedule()
+        run = run_allgather(algorithm, topology, machine, 64,
+                            options=RunOptions(sim_mode="auto"))
+        assert run.sim_path == "des"
 
     @pytest.mark.parametrize("name,kwargs", [
         ("common_neighbor", {"k": 4}), ("distance_halving", {}), ("bruck", {}),
     ])
-    def test_multistage_algorithms_match_interpreter(self, name, kwargs):
+    def test_multistage_algorithms_match_engine(self, name, kwargs):
         schedule, machine = _schedule_for(name, kwargs, 48, 3, 0.3)
         _assert_identical(schedule, machine)
+
+    def test_exact_event_count_is_allowed(self):
+        # Exactly max_events events may be processed; one fewer trips the
+        # budget with the Engine's own diagnostics.
+        schedule, machine = _schedule_for("common_neighbor", {"k": 4},
+                                          16, 2, 0.4)
+        events = run_on_engine(schedule, machine).events_processed
+        assert _assert_identical(schedule, machine, max_events=events)
+        assert _assert_identical(schedule, machine,
+                                 max_events=events - 1) is None
+
+    def test_time_budget_boundaries_match_engine(self):
+        # Budgets below, at, and above the makespan: an event stamped
+        # exactly max_sim_time is processed, one past it trips.
+        schedule, machine = _schedule_for("common_neighbor", {"k": 4},
+                                          16, 2, 0.4)
+        makespan = run_on_engine(schedule, machine).simulated_time
+        tripped = [
+            _assert_identical(schedule, machine, max_sim_time=budget) is None
+            for budget in (makespan / 3, makespan / 2, makespan, 2 * makespan)
+        ]
+        assert tripped == [True, True, False, False]
 
 
 class TestWatchdogBoundaries:
@@ -230,12 +270,12 @@ class TestPlanCacheKeying:
         machine_b = _machine(nodes=4, rps=2)
         reset_plan_cache()
         try:
-            ref_a = batch_plan_for(schedule, machine_a)
-            ref_b = batch_plan_for(schedule, machine_b)
+            ref_a = multi_plan_for(schedule, machine_a)
+            ref_b = multi_plan_for(schedule, machine_b)
             misses_after_first = PLAN_CACHE.misses
             for _ in range(3):
-                assert batch_plan_for(schedule, machine_a) is ref_a
-                assert batch_plan_for(schedule, machine_b) is ref_b
+                assert multi_plan_for(schedule, machine_a) is ref_a
+                assert multi_plan_for(schedule, machine_b) is ref_b
             assert PLAN_CACHE.misses == misses_after_first
             assert PLAN_CACHE.hits >= 6
         finally:
@@ -255,20 +295,25 @@ class TestPlanCacheKeying:
                 assert multi_plan_for(schedule, machine_b) is plan_b
         finally:
             reset_plan_cache()
-        # and the results per machine stay bit-identical to the interpreter
+        # and the results per machine stay bit-identical to the Engine
         for machine in (machine_a, machine_b):
             _assert_identical(schedule, machine)
 
-    def test_contention_free_memo_keeps_both_machines(self):
-        schedule, machine_a = _schedule_for("naive", {}, 16, 2, 0.4)
-        machine_b = _machine(nodes=4, rps=2)
-        first = (contention_free(schedule, machine_a),
-                 contention_free(schedule, machine_b))
-        # repeat calls answer from the per-machine memo, not a re-analysis
-        # of whichever machine came last
-        again = (contention_free(schedule, machine_a),
-                 contention_free(schedule, machine_b))
-        assert first == again
+    def test_one_auto_run_leaves_one_plan(self):
+        # One compile per (schedule, machine): a single auto run on a
+        # fresh cache stores exactly one plan.
+        machine = _machine(nodes=2, rps=4)
+        topology = TopologySpec("random", 16, density=0.4, seed=2).build()
+        algorithm = get_algorithm("common_neighbor", k=4)
+        algorithm.setup(topology, machine)
+        reset_plan_cache()
+        try:
+            run = run_allgather(algorithm, topology, machine, 256,
+                                options=RunOptions(sim_mode="auto"))
+            assert run.sim_path == "fastpath"
+            assert plan_cache_stats()["size"] == 1
+        finally:
+            reset_plan_cache()
 
     def test_structurally_equal_schedules_share_plans(self):
         # Two Schedule objects with identical op streams (fresh algorithm
@@ -279,8 +324,8 @@ class TestPlanCacheKeying:
         assert structural_digest(sched_a) == structural_digest(sched_b)
         reset_plan_cache()
         try:
-            plan_a = batch_plan_for(sched_a, machine)
-            plan_b = batch_plan_for(sched_b, machine)
+            plan_a = multi_plan_for(sched_a, machine)
+            plan_b = multi_plan_for(sched_b, machine)
             assert plan_b is plan_a
             assert PLAN_CACHE.hits >= 1
         finally:
@@ -316,14 +361,14 @@ class TestPlanCacheBounds:
         assert cache.stats()["misses"] >= 1
 
     def test_none_results_are_cached(self):
-        # ineligibility is a compile-walk verdict worth remembering
-        schedule, machine = _schedule_for("common_neighbor", {"k": 4},
-                                          16, 2, 0.4)
+        # an unmatched receive is a matching-walk verdict worth remembering
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        schedule = TestExecutorEdgeCases._unmatched_recv_schedule()
         reset_plan_cache()
         try:
-            assert batch_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine) is None
             misses = PLAN_CACHE.misses
-            assert batch_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine) is None
             assert PLAN_CACHE.misses == misses  # second call hit
             assert PLAN_CACHE.hits >= 1
         finally:
