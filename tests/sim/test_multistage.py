@@ -281,6 +281,29 @@ class TestPlanCacheKeying:
         finally:
             reset_plan_cache()
 
+    def test_contention_free_memo_keeps_both_machines(self):
+        # The per-schedule memo holds one answer per machine: replaying the
+        # same schedule on alternating machines answers from each machine's
+        # own entry, not from whichever machine came last.
+        schedule, machine_a = _schedule_for("naive", {}, 16, 2, 0.4)
+        machine_b = _machine(nodes=4, rps=2)
+
+        def replay(machine):
+            out = execute_schedule(schedule, machine)
+            return (out.simulated_time, tuple(out.finish_times),
+                    out.events_processed)
+
+        reset_plan_cache()
+        try:
+            first = (replay(machine_a), replay(machine_b))
+            misses_after_first = PLAN_CACHE.misses
+            again = (replay(machine_a), replay(machine_b))
+            assert first == again
+            assert first[0] != first[1]
+            assert PLAN_CACHE.misses == misses_after_first
+        finally:
+            reset_plan_cache()
+
     def test_two_machines_alternate_multi_plans(self):
         schedule, machine_a = _schedule_for("common_neighbor", {"k": 4},
                                             16, 2, 0.4)
