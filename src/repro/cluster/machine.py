@@ -8,6 +8,7 @@ harness, the benchmarks, and the analytic model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 from repro.cluster.hockney import NIAGARA_LIKE, HockneyParameters, LinkCost
@@ -38,6 +39,25 @@ class Machine:
     spec: ClusterSpec
     network: NetworkTopology
     params: HockneyParameters
+
+    # ----------------------------------------------------------- rank tables
+    @cached_property
+    def rank_nodes(self) -> tuple[int, ...]:
+        """Node index of every rank, built once per machine.
+
+        The unvalidated, table-driven counterpart of ``spec.node_of`` for
+        loops that resolve many rank pairs (fast-path plan compilation,
+        fabric stage plans).  Indices are the logical node ids the network
+        topology classifies (a placement permutation lives in the network).
+        """
+        per_node = self.spec.ranks_per_node
+        return tuple(rank // per_node for rank in range(self.spec.n_ranks))
+
+    @cached_property
+    def rank_sockets(self) -> tuple[int, ...]:
+        """Global socket index of every rank (``spec.socket_of`` as a table)."""
+        per_socket = self.spec.ranks_per_socket
+        return tuple(rank // per_socket for rank in range(self.spec.n_ranks))
 
     # ------------------------------------------------------------- link query
     def link_class(self, rank_a: int, rank_b: int) -> LinkClass:

@@ -415,6 +415,7 @@ def run_allgather(
         outcome = None if schedule is None else execute_schedule(
             schedule,
             machine,
+            ctx.schedule_scale,
             max_sim_time=opts.max_sim_time,
             max_events=opts.max_events,
         )

@@ -9,28 +9,38 @@ resumes, :class:`~repro.sim.request.Request` objects, or per-message method
 dispatch.  The result is bit-identical to the engine for every pristine run
 (no faults, no jitter, no tracing): ``sim_mode="auto"`` is a pure speedup.
 
-Two ideas make it fast:
+A compiled plan comes in two halves, because everything about a schedule
+except its durations is independent of the message size:
 
-* **Vectorized transmit-cost math.**  Message cohorts share their pricing: a
-  stage's messages differ only in endpoints and byte counts, so compilation
-  gathers the distinct ``(socket-pair plan, nbytes)`` combinations across the
-  whole schedule and prices them in one numpy pass (``m/beta``, ``alpha +
-  m/beta``, NIC/link costs — elementwise IEEE ops identical to the scalar
-  fabric arithmetic).  The replay loop then runs over *pre-priced* send
-  tuples: no float arithmetic beyond the claim recurrences themselves.
-* **Scalar claim recurrences, on purpose.**  A resource's claim sequence
-  ``end_i = max(post_i, end_{i-1}) + dur_i`` is *not* reformulated as a
-  cumulative sum: floating-point addition is non-associative, and any
-  prefix-sum regrouping would break bit-identity with the engine.  Claims
-  stay in event order over plain float state.
+* **Structure** (:class:`_PlanStructure`), built once per (schedule,
+  machine): the static send/receive matching, the wake order, the
+  wait-delimited segment layout, and per send its kind, endpoints, NIC and
+  lane ids and *cohort* — the ``(socket pair, block count)`` class that
+  fixes its price.  Uniform-size schedules are written in block units
+  (:meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`
+  builds them at ``msg_size=1``), so one structure serves a whole
+  message-size sweep.
+* **Pricing** (:func:`_price`), once per block size: the cohorts' byte
+  counts are scaled by the block size and priced in one numpy pass
+  (``m/beta``, ``alpha + m/beta``, NIC/link costs — elementwise IEEE ops
+  identical to the scalar fabric arithmetic), and the priced
+  :class:`_MultiStagePlan` the executor consumes is emitted from the
+  structure's templates.
+
+The replay loop then runs over pre-priced send tuples with *scalar claim
+recurrences, on purpose*: a resource's claim sequence ``end_i = max(post_i,
+end_{i-1}) + dur_i`` is not reformulated as a cumulative sum, because
+floating-point addition is non-associative and any prefix-sum regrouping
+would break bit-identity with the engine.  Claims stay in event order over
+plain float state.
 
 There is one executor, the heap-driven :func:`_execute_multi`, for every
 schedule whose receives all have a matching send (single- and multi-stage,
 budgeted or not).  A schedule with an unmatched receive deadlocks;
 :func:`execute_schedule` returns ``None`` for it and the caller runs the
-engine, which reports the exact blocked state.  Compiled plans are memoized
-across runs in the structural plan cache (:mod:`repro.sim.plancache`), one
-entry per (schedule, machine).
+engine, which reports the exact blocked state.  Structures and priced plans
+are memoized across runs in the structural plan cache
+(:mod:`repro.sim.plancache`).
 
 Watchdog budgets (``max_sim_time``/``max_events``) are honored with the
 engine's exact boundary semantics: an event with timestamp equal to
@@ -43,6 +53,8 @@ so a budgeted run trips on the same event in both paths.
 from __future__ import annotations
 
 import heapq
+import itertools
+from operator import add
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,21 +65,9 @@ from repro.sim.plancache import _MISS, PLAN_CACHE, machine_digest
 from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.hockney import HockneyParameters
     from repro.cluster.machine import Machine
     from repro.sim.schedule import Schedule
-
-# Priced opcodes (first tuple element).  Matching is resolved statically
-# (:func:`repro.sim.schedule.static_matching`), so receives carry no key.
-# Charges compile to *bare floats* (their memcpy duration) rather than
-# tuples: they are the most frequent op in combining schedules and a
-# ``type(op) is float`` check is the cheapest dispatch CPython offers.
-_SEND_SELF = 1   #: (1, dst, nbytes, dur)
-_SEND_LOCAL = 2  #: (2, dst, nbytes, port_dur, hop_extra)
-_SEND_NODE = 3   #: (3, dst, nbytes, port_dur, nic_dur, hop_extra, nsrc, ndst)
-_SEND_GROUP = 4  #: (4, dst, nbytes, port_dur, nic_dur, link_dur, hop_extra,
-                 #:  nsrc, ndst, lane_groups, fixed_lanes)
-_RECV = 5        #: (5,)
-_RECV_OP = (_RECV,)
 
 
 class FastRunOutcome:
@@ -90,70 +90,52 @@ class FastRunOutcome:
         self.events_processed = events_processed
 
 
-def _compile(schedule: "Schedule", machine: "Machine"):
-    """Price every op and split each rank's list into wait-delimited segments.
+#: Below this many ops a segment's clock is evolved by a scalar Python loop:
+#: one ``np.add.accumulate`` call costs more than ~two dozen float adds, and
+#: both forms are bit-identical (accumulate is a strict left-to-right fold).
+_VEC_MIN_OPS = 24
 
-    Returns ``(segments, n_lanes)``; ``segments[r]`` is ``None`` or a list of
-    ``(ops_tuple, ends_with_wait)``.  All float constants are computed here —
-    vectorized over the distinct ``(socket plan, nbytes)`` cohorts — so the
-    replay loop's only arithmetic is claim max/add chains.
+_SELF = -1  #: cohort socket-pair key of a self-send (priced as a memcpy)
+
+
+class _PlanStructure:
+    """The size-free half of a compiled plan (see the module docstring).
+
+    ``rank_segs[r]`` is ``None`` (no program) or a tuple of segment
+    templates ``(delta_idx, heads, sends, recvs, ends_with_wait)``:
+
+    * ``delta_idx`` indexes the priced clock-delta table — 0 is the call
+      overhead every send/receive costs, ``1 + j`` the memcpy of charge
+      cohort ``j`` (block count ``charge_units[j]``).  Thin segments hold a
+      tuple; fat ones (``>= _VEC_MIN_OPS`` ops) an index array with a
+      leading scratch slot, so pricing is one fancy-index;
+    * ``heads`` holds each send's executor tuple up to its durations —
+      ``(0, pos, slot)`` for a self-send, ``(kind, pos, slot, dst)``
+      otherwise — and ``sends`` the matching cohort indices into the
+      ``cohort_*`` columns, which carry everything after the head;
+    * ``recvs`` is final: ``(pos, slot)`` pairs.
     """
-    params = machine.params
+
+    __slots__ = (
+        "n_ranks", "rank_segs", "wake_order", "n_slots", "n_lanes",
+        "n_nodes", "messages", "units", "charge_units", "cohort_units",
+        "cohort_alpha", "cohort_inv_beta", "cohort_link_inv_beta",
+        "cohort_static",
+    )
+
+
+def _build_structure(schedule: "Schedule", machine: "Machine"):
+    """Build a :class:`_PlanStructure`, or ``None`` when a receive has no
+    matching send (the run deadlocks; the engine reports it exactly)."""
+    send_slots, n_slots, fully_matched = static_matching(schedule)
+    if not fully_matched:
+        return None
     spec = machine.spec
     rps = spec.ranks_per_socket
     n_sockets = spec.n_sockets
-    adaptive = params.adaptive_routing
-    memcpy_beta = params.memcpy_beta
-    nic_overhead = params.nic_message_overhead
-    link_overhead = params.link_message_overhead
+    adaptive = machine.params.adaptive_routing
     costs = _machine_cost_table(machine)
 
-    # Pass 1: distinct pricing cohorts across the whole schedule.
-    distinct_send: dict[tuple[int, int], tuple] = {}
-    distinct_charge: set[int] = set()
-    for rank, ops in enumerate(schedule.ops):
-        if not ops:
-            continue
-        src_base = (rank // rps) * n_sockets
-        for op in ops:
-            kind = op[0]
-            if kind == "send":
-                dst, nbytes = op[1], op[2]
-                if dst == rank:
-                    distinct_charge.add(nbytes)  # self-send = memcpy pricing
-                    continue
-                key = src_base + dst // rps
-                entry = costs.get(key)
-                if entry is None:
-                    entry = _resolve_machine_costs(machine, adaptive, rank, dst)
-                    costs[key] = entry
-                distinct_send.setdefault((key, nbytes), entry)
-            elif kind == "charge":
-                distinct_charge.add(op[1])
-
-    # Pass 2: one numpy sweep prices every cohort.  Elementwise float64 ops
-    # are IEEE-identical to the fabric's scalar expressions, so the replay
-    # inherits bit-exact per-message costs.
-    charge_vals = sorted(distinct_charge)
-    charge_price = dict(zip(
-        charge_vals,
-        (np.asarray(charge_vals, dtype=np.float64) / memcpy_beta).tolist(),
-    ))
-    pairs = list(distinct_send.items())
-    price: dict[tuple[int, int], tuple] = {}
-    if pairs:
-        nb = np.asarray([pk[1] for pk, _ in pairs], dtype=np.float64)
-        alpha = np.asarray([entry[1] for _, entry in pairs])
-        inv_beta = np.asarray([entry[3] for _, entry in pairs])
-        link_inv_beta = np.asarray([entry[4] for _, entry in pairs])
-        dur = nb * inv_beta
-        port_dur = (alpha + dur).tolist()
-        nic_dur = (nic_overhead + dur).tolist()
-        link_dur = (link_overhead + nb * link_inv_beta).tolist()
-        for i, (pk, entry) in enumerate(pairs):
-            price[pk] = (entry, port_dur[i], nic_dur[i], link_dur[i])
-
-    # Lane keys -> dense indices into the replay's float state.
     lane_index: dict = {}
 
     def _lane(k):
@@ -162,61 +144,111 @@ def _compile(schedule: "Schedule", machine: "Machine"):
             lane_index[k] = i = len(lane_index)
         return i
 
-    lanes_by_key: dict[int, tuple] = {}  # socket key -> (groups, fixed)
+    # Per socket pair: (kind, alpha, inv_beta, link_inv_beta, static tail).
+    pairs: dict[int, tuple] = {_SELF: (0, 0.0, 0.0, 0.0, ())}
 
-    # Pass 3: emit priced opcode segments.
-    segments: list[list[tuple] | None] = []
+    def _pair(rank, dst, key):
+        entry = costs.get(key)
+        if entry is None:
+            entry = costs[key] = _resolve_machine_costs(machine, adaptive, rank, dst)
+        _, alpha, hop_x, inv_beta, link_inv_beta, nsrc, ndst, gkeys, fkeys = entry
+        if nsrc < 0:
+            kind, tail = 1, (hop_x,)
+        elif gkeys is None and not fkeys:
+            kind, tail = 2, (hop_x, nsrc, ndst)
+        else:
+            # Pre-classify the lane choice as (lmode, lspec): 0 oblivious
+            # lane set, 1 the adaptive 2-lane pair (the Dragonfly+ default,
+            # inlined at runtime), 2 one adaptive group, 3 per-hop groups.
+            if gkeys is None:
+                shape = (0, tuple(_lane(k) for k in fkeys))
+            else:
+                groups = tuple(tuple(_lane(k) for k in g) for g in gkeys)
+                if len(groups) == 1:
+                    g = groups[0]
+                    shape = (1, g) if len(g) == 2 else (2, g)
+                else:
+                    shape = (3, groups)
+            kind, tail = 3, (hop_x, nsrc, ndst) + shape
+        pairs[key] = pair = (kind, alpha, inv_beta, link_inv_beta, tail)
+        return pair
+
+    charge_index: dict[int, int] = {}   # block count -> delta-table index
+    cohorts: dict[tuple[int, int], tuple[int, int]] = {}  # -> (kind, cohort)
+    cohort_units: list[int] = []
+    cohort_pairs: list[tuple] = []
+
+    def _segment(didx, heads, sends, recvs, ends_with_wait):
+        if len(didx) >= _VEC_MIN_OPS:
+            didx = np.asarray([0] + didx, dtype=np.intp)
+        else:
+            didx = tuple(didx)
+        return (didx, tuple(heads), tuple(sends), tuple(recvs), ends_with_wait)
+
+    next_slot = iter(send_slots).__next__  # rank-major send order
+    rank_segs: list[tuple | None] = []
+    ri = 0  # global receive slot — rank-major program order, = static_matching's
+    units = 0
     for rank, ops in enumerate(schedule.ops):
         if ops is None:
-            segments.append(None)
+            rank_segs.append(None)
             continue
         src_base = (rank // rps) * n_sockets
         segs: list[tuple] = []
-        cur: list[tuple] = []
+        didx: list[int] = []
+        heads: list[tuple] = []
+        sends: list[int] = []
+        recvs: list[tuple] = []
         for op in ops:
             kind = op[0]
             if kind == "wait":
-                segs.append((tuple(cur), True))
-                cur = []
+                segs.append(_segment(didx, heads, sends, recvs, True))
+                didx, heads, sends, recvs = [], [], [], []
             elif kind == "charge":
-                cur.append(charge_price[op[1]])
+                d = charge_index.get(op[1])
+                if d is None:
+                    d = charge_index[op[1]] = len(charge_index) + 1
+                didx.append(d)
             elif kind == "recv":
-                cur.append(_RECV_OP)
+                didx.append(0)
+                recvs.append((len(didx), ri))
+                ri += 1
             else:  # send
-                dst, nbytes = op[1], op[2]
-                if dst == rank:
-                    cur.append((_SEND_SELF, dst, nbytes, charge_price[nbytes]))
-                    continue
-                skey = src_base + dst // rps
-                entry, pd, nd, ld = price[(skey, nbytes)]
-                hop_extra, nsrc, ndst = entry[2], entry[5], entry[6]
-                group_keys, fixed_keys = entry[7], entry[8]
-                if nsrc < 0:
-                    cur.append((_SEND_LOCAL, dst, nbytes, pd, hop_extra))
-                elif group_keys is None and not fixed_keys:
-                    cur.append((_SEND_NODE, dst, nbytes, pd, nd,
-                                hop_extra, nsrc, ndst))
-                else:
-                    lanes = lanes_by_key.get(skey)
-                    if lanes is None:
-                        if group_keys is not None:
-                            lanes = (tuple(tuple(_lane(k) for k in g)
-                                           for g in group_keys), ())
-                        else:
-                            lanes = (None, tuple(_lane(k) for k in fixed_keys))
-                        lanes_by_key[skey] = lanes
-                    cur.append((_SEND_GROUP, dst, nbytes, pd, nd, ld,
-                                hop_extra, nsrc, ndst, lanes[0], lanes[1]))
-        if cur or not segs:
-            segs.append((tuple(cur), False))
-        segments.append(segs)
-    return segments, len(lane_index)
+                didx.append(0)
+                dst, count = op[1], op[2]
+                units += count
+                key = _SELF if dst == rank else src_base + dst // rps
+                kc = cohorts.get((key, count))
+                if kc is None:
+                    pair = pairs.get(key) or _pair(rank, dst, key)
+                    kc = cohorts[(key, count)] = (pair[0], len(cohort_units))
+                    cohort_units.append(count)
+                    cohort_pairs.append(pair)
+                kind, c = kc
+                heads.append((kind, len(didx), next_slot(), dst) if kind
+                             else (0, len(didx), next_slot()))
+                sends.append(c)
+        if didx or not segs:
+            segs.append(_segment(didx, heads, sends, recvs, False))
+        rank_segs.append(tuple(segs))
 
-
-#: Below this many ops a segment's clock is evolved by a scalar Python loop:
-#: one ``np.add.accumulate`` call costs more than ~two dozen float adds, and
-#: both forms are bit-identical (accumulate is a strict left-to-right fold).
-_VEC_MIN_OPS = 24
+    st = _PlanStructure()
+    st.n_ranks = schedule.n_ranks
+    st.rank_segs = rank_segs
+    st.wake_order = spawn_wake_order(schedule)
+    st.n_slots = n_slots
+    st.n_lanes = len(lane_index)
+    st.n_nodes = spec.nodes
+    st.messages = len(send_slots)
+    st.units = units
+    st.charge_units = list(charge_index)  # insertion order = index - 1
+    st.cohort_units = cohort_units
+    st.cohort_alpha = np.asarray([p[1] for p in cohort_pairs], dtype=np.float64)
+    st.cohort_inv_beta = np.asarray([p[2] for p in cohort_pairs], dtype=np.float64)
+    st.cohort_link_inv_beta = np.asarray([p[3] for p in cohort_pairs],
+                                         dtype=np.float64)
+    st.cohort_static = [(p[0], p[4]) for p in cohort_pairs]
+    return st
 
 
 class _MultiStagePlan:
@@ -232,7 +264,7 @@ class _MultiStagePlan:
       evolution — ``np.add.accumulate`` over ``[now, d1, d2, ...]`` for
       fat segments, a scalar loop for thin ones (both are the engine's
       sequential adds, bit for bit), with the first segment's prefix sums
-      precomputed at compile time (its ``now`` is always 0.0);
+      precomputed at pricing time (its ``now`` is always 0.0);
     * every send carries its pre-priced durations and pre-resolved
       receive slot (:func:`repro.sim.schedule.static_matching` — FIFO
       matching is a compile-time function of the schedule), so delivery
@@ -254,108 +286,98 @@ class _MultiStagePlan:
     )
 
 
-def _compile_multi(schedule: "Schedule", machine: "Machine"):
-    """Build a :class:`_MultiStagePlan`, or ``None`` when a receive has no
-    matching send (the run deadlocks; the engine reports it exactly)."""
-    send_slots, n_slots, fully_matched = static_matching(schedule)
-    if not fully_matched:
-        return None
-    segments, n_lanes = _compile(schedule, machine)
-    call_overhead = machine.params.call_overhead
+def _price(st: _PlanStructure, block_size: int,
+           params: "HockneyParameters") -> _MultiStagePlan:
+    """Price a structure for one block size: a ready-to-run plan.
 
-    n = schedule.n_ranks
+    Every duration is an elementwise float64 op over the cohorts' byte
+    counts (``count * block_size``, exact integers), IEEE-identical to the
+    fabric's scalar expressions — so the replay inherits bit-exact
+    per-message costs at every size.
+    """
+    m = block_size
+    dvals_np = np.empty(len(st.charge_units) + 1, dtype=np.float64)
+    dvals_np[0] = params.call_overhead
+    dvals_np[1:] = (np.asarray([u * m for u in st.charge_units], dtype=np.float64)
+                    / params.memcpy_beta)
+    dvals = dvals_np.tolist()
+    dget = dvals.__getitem__
+
+    nb = np.asarray([u * m for u in st.cohort_units], dtype=np.float64)
+    memcpy = (nb / params.memcpy_beta).tolist()
+    dur = nb * st.cohort_inv_beta
+    port = (st.cohort_alpha + dur).tolist()
+    nic = (params.nic_message_overhead + dur).tolist()
+    link = (params.link_message_overhead + nb * st.cohort_link_inv_beta).tolist()
+    tails = []
+    for i, (kind, tail) in enumerate(st.cohort_static):
+        if kind == 0:
+            tails.append((memcpy[i],))
+        elif kind == 1:
+            tails.append((port[i],) + tail)
+        elif kind == 2:
+            tails.append((port[i], nic[i]) + tail)
+        else:
+            tails.append((port[i], nic[i], link[i]) + tail)
+
+    tget = tails.__getitem__
     rank_segs: list[tuple | None] = []
-    si = 0  # global send index — rank-major op order, = static_matching's
-    ri = 0  # global receive slot — same enumeration
-    messages = 0
-    bytes_total = 0
-    for rank in range(n):
-        segs = segments[rank]
+    for segs in st.rank_segs:
         if segs is None:
             rank_segs.append(None)
             continue
-        compiled: list[tuple] = []
+        compiled = []
         first = True
-        for ops, ends_with_wait in segs:
-            deltas: list[float] = []
-            sends: list[tuple] = []
-            recvs: list[tuple] = []
-            for op in ops:
-                if op.__class__ is float:
-                    deltas.append(op)
-                    continue
-                deltas.append(call_overhead)
-                pos = len(deltas)  # accl index of the clock after this op
-                code = op[0]
-                if code == _RECV:
-                    recvs.append((pos, ri))
-                    ri += 1
-                    continue
-                sl = send_slots[si]
-                si += 1
-                messages += 1
-                bytes_total += op[2]
-                if code == _SEND_SELF:
-                    sends.append((0, pos, sl, op[3]))
-                elif code == _SEND_LOCAL:
-                    sends.append((1, pos, sl, op[1], op[3], op[4]))
-                elif code == _SEND_NODE:
-                    sends.append((2, pos, sl, op[1], op[3], op[4], op[5],
-                                  op[6], op[7]))
-                else:  # _SEND_GROUP — pre-classify the lane choice shape
-                    groups, fixed = op[9], op[10]
-                    if groups is None:
-                        lmode, lspec = 0, fixed        # oblivious lane set
-                    elif len(groups) == 1:
-                        g = groups[0]
-                        # adaptive: the 2-lane pair (Dragonfly+ default)
-                        # gets its own inlined fast case at runtime
-                        lmode, lspec = (1, g) if len(g) == 2 else (2, g)
-                    else:
-                        lmode, lspec = 3, groups       # per-hop choices
-                    sends.append((3, pos, sl, op[1], op[3], op[4], op[5],
-                                  op[6], op[7], op[8], lmode, lspec))
-            accl0 = None
-            if first:
-                accl0 = np.add.accumulate(
-                    np.asarray([0.0] + deltas, dtype=np.float64)
-                ).tolist()
-                first = False
-            if len(deltas) >= _VEC_MIN_OPS:
-                arr = np.empty(len(deltas) + 1, dtype=np.float64)
-                arr[1:] = deltas
-                compiled.append((True, arr, accl0, tuple(sends),
-                                 tuple(recvs), ends_with_wait))
+        for didx, heads, sends, recvs, ends_wait in segs:
+            priced = tuple(map(add, heads, map(tget, sends)))
+            if didx.__class__ is tuple:
+                deltas = tuple(map(dget, didx))
+                accl0 = (list(itertools.accumulate(deltas, initial=0.0))
+                         if first else None)
+                compiled.append((False, deltas, accl0, priced, recvs, ends_wait))
             else:
-                compiled.append((False, tuple(deltas), accl0, tuple(sends),
-                                 tuple(recvs), ends_with_wait))
+                arr = dvals_np[didx]  # arr[0] is the executor's scratch slot
+                accl0 = (list(itertools.accumulate(arr[1:].tolist(), initial=0.0))
+                         if first else None)
+                compiled.append((True, arr, accl0, priced, recvs, ends_wait))
+            first = False
         rank_segs.append(tuple(compiled))
 
     plan = _MultiStagePlan()
-    plan.n_ranks = n
+    plan.n_ranks = st.n_ranks
     plan.rank_segs = rank_segs
-    plan.wake_order = spawn_wake_order(schedule)
-    plan.n_slots = n_slots
-    plan.n_lanes = n_lanes
-    plan.n_nodes = machine.spec.nodes
-    plan.messages = messages
-    plan.bytes_total = bytes_total
+    plan.wake_order = st.wake_order
+    plan.n_slots = st.n_slots
+    plan.n_lanes = st.n_lanes
+    plan.n_nodes = st.n_nodes
+    plan.messages = st.messages
+    plan.bytes_total = st.units * m
     return plan
 
 
-def multi_plan_for(schedule: "Schedule", machine: "Machine"):
-    """Memoized :func:`_compile_multi` via the structural plan cache.
+def multi_plan_for(schedule: "Schedule", machine: "Machine", block_size: int = 1):
+    """The priced plan for ``schedule`` at ``block_size``, memoized.
 
-    The key is ``(schedule structural digest, machine digest)`` — see
-    :mod:`repro.sim.plancache` — so one compilation is shared across runs,
-    across alternating machines, and across distinct ``Schedule`` objects
-    describing the same pattern.  ``None`` (an unmatched receive) is
-    cached too.
+    Both halves live in the structural plan cache (:mod:`repro.sim.plancache`):
+    the priced plan under ``(schedule digest, machine digest, block_size)``
+    and, consulted only when that misses, the structure under
+    ``(schedule digest, machine digest)`` — so a size sweep over one
+    pattern builds one structure and prices it once per size.  Keys are
+    structural, so distinct ``Schedule`` objects describing the same
+    pattern share entries.  ``None`` (an unmatched receive) is cached too.
     """
-    key = (structural_digest(schedule), machine_digest(machine))
+    digest = structural_digest(schedule)
+    mdigest = machine_digest(machine)
+    key = (digest, mdigest, block_size)
     plan = PLAN_CACHE.get(key)
     if plan is _MISS:
-        plan = _compile_multi(schedule, machine)
+        skey = (digest, mdigest)
+        structure = PLAN_CACHE.get(skey)
+        if structure is _MISS:
+            structure = _build_structure(schedule, machine)
+            PLAN_CACHE.put(skey, structure)
+        plan = (None if structure is None
+                else _price(structure, block_size, machine.params))
         PLAN_CACHE.put(key, plan)
     return plan
 
@@ -657,11 +679,19 @@ def _execute_multi(
 def execute_schedule(
     schedule: "Schedule",
     machine: "Machine",
+    block_size: int = 1,
     *,
     max_sim_time: float | None = None,
     max_events: int | None = None,
 ) -> FastRunOutcome | None:
     """Replay ``schedule`` on ``machine``; bit-identical to the engine.
+
+    ``block_size`` scales the schedule's byte counts: a block-unit schedule
+    (see :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`)
+    runs at ``block_size=msg_size``, a schedule already in bytes (the
+    allgatherv case, or a hand-built one) at the default 1.  The outcome
+    equals the engine running the schedule with every byte count multiplied
+    by ``block_size``, ``bytes_sent`` included.
 
     Returns ``None`` when a receive has no matching send: that run
     deadlocks, and the caller runs the :class:`~repro.sim.engine.Engine`,
@@ -675,7 +705,9 @@ def execute_schedule(
         raise ValueError(f"max_sim_time must be > 0, got {max_sim_time}")
     if max_events is not None and max_events <= 0:
         raise ValueError(f"max_events must be > 0, got {max_events}")
-    plan = multi_plan_for(schedule, machine)
+    if block_size < 0:
+        raise ValueError(f"block_size must be >= 0, got {block_size}")
+    plan = multi_plan_for(schedule, machine, block_size)
     if plan is None:
         return None
     return _execute_multi(plan, max_sim_time, max_events)

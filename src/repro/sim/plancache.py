@@ -1,34 +1,38 @@
 """Cross-run compiled-plan cache for the hybrid fast path.
 
 :mod:`repro.sim.fastpath` compiles a :class:`~repro.sim.schedule.Schedule`
-into a priced executor plan.  Compilation walks every op and prices every
-message cohort — cheap next to a DES run, but pure overhead when a sweep
-revisits the same schedule shape on the same machine, which Fig. 5-style
-grids do constantly (every repeat, every algorithm/size cell sharing a
-topology, every warm bench pass).
+into a priced executor plan in two steps: a size-free *structure* (matching
+slots, wake order, segment layout, per-send endpoints, NIC/lane ids and
+cost cohorts) and a *pricing pass* that turns it into a ready-to-run plan
+for one block size.  Both are pure overhead when a sweep revisits the same
+schedule shape on the same machine, which Fig. 5-style grids do constantly
+(every message size over one pattern, every repeat, every warm bench pass).
 
-This module provides the process-wide memo for those products: a bounded
+This module provides the process-wide memo for both products: one bounded
 LRU keyed on *structure*, not identity —
 
-``(schedule structural digest, machine digest)``
+* ``(schedule digest, machine digest)`` -> the plan structure, one per
+  (pattern, machine), shared by every message size;
+* ``(schedule digest, machine digest, block_size)`` -> the priced plan the
+  executor runs, one per (pattern, machine, size).
 
-* the schedule half is :func:`repro.sim.schedule.structural_digest`
-  (rank count + full op streams: the compiler's exact input), so two
-  ``Schedule`` objects describing the same communication pattern — e.g.
-  rebuilt by a fresh algorithm instance for the same topology cell — share
-  one compilation (the isomorphic-neighborhood reuse from Träff et al.);
-* the machine half is :func:`machine_digest`, a recursive structural
-  fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster
-  shape, every Hockney constant, the network topology's constructor state
-  including placement permutations) — everything that can influence a
-  priced plan.
+The schedule half is :func:`repro.sim.schedule.structural_digest` (rank
+count + full op streams: the compiler's exact input), so two ``Schedule``
+objects describing the same communication pattern — e.g. rebuilt by a
+fresh algorithm instance for the same topology cell — share entries (the
+isomorphic-neighborhood reuse from Träff et al.).  Uniform-size schedules
+are written in block units, so their digest does not depend on the message
+size.  The machine half is :func:`machine_digest`, a recursive structural
+fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster shape,
+every Hockney constant, the network topology's constructor state including
+placement permutations) — everything that can influence a plan.
 
-Each (schedule, machine) pair therefore holds exactly one entry.
-
-Cached values hold only plain numbers, tuples, and numpy arrays — never a
-``Machine`` or ``Schedule`` reference — so retention cannot leak simulation
-state.  ``None`` results (a schedule with an unmatched receive) are cached
-too: deciding that costs a matching walk.
+A lookup asks for the priced plan first and for the structure only on a
+miss; both lookups count in the stats.  Cached values hold only plain
+numbers, tuples, lists and numpy arrays — never a ``Machine`` or ``Schedule``
+reference — so retention cannot leak simulation state.  ``None`` results
+(a schedule with an unmatched receive) are cached at both levels: deciding
+that costs a matching walk.
 
 Stats (hits/misses/evictions) are process-global and surfaced through
 ``repro.exec`` sweep reports and the wallclock harness payload; see
@@ -42,9 +46,9 @@ from collections import OrderedDict
 from typing import Any
 
 #: Default LRU capacity.  Plans for paper-scale schedules are megabytes, so
-#: the bound stays modest — but it must hold a whole bench grid (one entry
-#: per distinct (schedule, machine) pair): evicting mid-grid forfeits the
-#: warm-repeat hits the cache exists for.
+#: the bound stays modest — but it must hold a whole bench grid (one
+#: structure per (schedule, machine) pair plus one priced plan per size):
+#: evicting mid-grid forfeits the warm-repeat hits the cache exists for.
 DEFAULT_MAX_ENTRIES = 128
 
 _MISS = object()
@@ -117,7 +121,7 @@ def machine_digest(machine: Any) -> str:
 
 
 class PlanCache:
-    """Bounded LRU over ``(schedule digest, machine digest)`` keys."""
+    """Bounded LRU over structural keys (see the module docstring)."""
 
     __slots__ = ("max_entries", "_entries", "hits", "misses", "evictions")
 

@@ -27,6 +27,7 @@ reproducing that.
 from __future__ import annotations
 
 import hashlib
+import marshal
 from collections import deque
 from dataclasses import dataclass
 
@@ -71,13 +72,17 @@ def structural_digest(schedule: Schedule) -> str:
     :func:`repro.sim.plancache.machine_digest`), realizing the
     isomorphic-neighborhood observation: sweep cells whose schedules are
     structurally identical share one compilation.
+
+    The op lists (plain ints and strings) are hashed through ``marshal``
+    format 2: a decodable, hence injective, binary encoding that is a
+    function of the values alone (formats 3+ add back-references that
+    depend on object identity and reference counts).
     """
     digest = getattr(schedule, "_structural_digest", None)
     if digest is None:
         h = hashlib.blake2b(digest_size=16)
         h.update(str(schedule.n_ranks).encode())
-        for ops in schedule.ops:
-            h.update(b"|N" if ops is None else repr(ops).encode())
+        h.update(marshal.dumps(schedule.ops, 2))
         digest = schedule._structural_digest = h.hexdigest()
     return digest
 
@@ -118,7 +123,9 @@ def static_matching(schedule: Schedule):
     is False when some receive has no matching send (the run deadlocks;
     the fast path declines it and the engine reports the deadlock).
     """
-    recv_q: dict[tuple, deque] = {}
+    # Per-key receive queues; a key with one pending receive (the common
+    # case: one message per neighbor edge) holds the bare slot number.
+    recv_q: dict[tuple, int | deque] = {}
     n_slots = 0
     for rank, ops in enumerate(schedule.ops):
         if not ops:
@@ -128,8 +135,11 @@ def static_matching(schedule: Schedule):
                 key = (rank, op[1], op[2])
                 q = recv_q.get(key)
                 if q is None:
-                    recv_q[key] = q = deque()
-                q.append(n_slots)
+                    recv_q[key] = n_slots
+                elif q.__class__ is int:
+                    recv_q[key] = deque((q, n_slots))
+                else:
+                    q.append(n_slots)
                 n_slots += 1
     send_slots: list[int] = []
     for rank, ops in enumerate(schedule.ops):
@@ -137,7 +147,16 @@ def static_matching(schedule: Schedule):
             continue
         for op in ops:
             if op[0] == "send":
-                q = recv_q.get((op[1], rank, op[3]))
-                send_slots.append(q.popleft() if q else -1)
-    fully_matched = not any(recv_q.values())
-    return send_slots, n_slots, fully_matched
+                key = (op[1], rank, op[3])
+                q = recv_q.get(key)
+                if q is None:
+                    send_slots.append(-1)
+                elif q.__class__ is int:
+                    send_slots.append(q)
+                    del recv_q[key]
+                else:
+                    send_slots.append(q.popleft())
+                    if not q:
+                        del recv_q[key]
+    # Consumed keys are deleted, so any key left has an unmatched receive.
+    return send_slots, n_slots, not recv_q

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster.spec import LinkClass
-from repro.sim.fabric import Fabric
+from repro.exec.spec import MachineSpec
+from repro.sim.fabric import Fabric, _resolve_machine_costs
 
 
 @pytest.fixture
@@ -134,3 +135,54 @@ class TestUtilization:
         util = fabric.utilization(horizon=port_dur)
         (frac,) = util["nic_tx"].values()
         assert frac == pytest.approx(1.0)
+
+
+class TestTableDrivenCosts:
+    """``_resolve_machine_costs`` locates ranks through the machine's
+    rank->node/socket tables; it must agree with the validated
+    ``Machine.link_class``/``hop_extra_alpha``/``spec.node_of`` path for
+    every rank pair."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Machine.single_switch(nodes=3, ranks_per_socket=2),
+        lambda: Machine.niagara_like(nodes=8, ranks_per_socket=2,
+                                     nodes_per_group=2),
+        lambda: MachineSpec(nodes=6, ranks_per_socket=2,
+                            placement_seed=7).build(),
+    ], ids=["flat", "dragonfly_plus", "permuted"])
+    def test_every_pair_matches_the_validated_path(self, build):
+        machine = build()
+        spec = machine.spec
+        n = spec.n_ranks
+        assert machine.rank_nodes == tuple(spec.node_of(r) for r in range(n))
+        assert machine.rank_sockets == tuple(spec.socket_of(r) for r in range(n))
+        classes = set()
+        for adaptive in (False, True):
+            for src in range(n):
+                for dst in range(n):
+                    (cls, alpha, hop_extra, _, _, node_src, node_dst,
+                     group_keys, fixed_keys) = _resolve_machine_costs(
+                        machine, adaptive, src, dst)
+                    classes.add(cls)
+                    assert cls is machine.link_class(src, dst)
+                    assert alpha == machine.params.cost(cls).alpha
+                    assert hop_extra == machine.hop_extra_alpha(src, dst)
+                    cross = cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP)
+                    if cross:
+                        assert (node_src, node_dst) == (spec.node_of(src),
+                                                        spec.node_of(dst))
+                    else:
+                        assert (node_src, node_dst) == (-1, -1)
+                    if cls is LinkClass.INTER_GROUP and not adaptive:
+                        assert fixed_keys == machine.shared_link_keys(src, dst)
+                    elif cls is LinkClass.INTER_GROUP:
+                        assert group_keys == machine.network.link_choices(
+                            node_src, node_dst)
+        assert LinkClass.INTER_NODE in classes
+
+    def test_out_of_range_rank_is_rejected(self, machine):
+        n = machine.spec.n_ranks
+        with pytest.raises(ValueError, match="out of range"):
+            _resolve_machine_costs(machine, False, 0, n)
+        with pytest.raises(ValueError, match="out of range"):
+            _resolve_machine_costs(machine, False, -1, 0)

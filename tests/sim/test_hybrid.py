@@ -56,7 +56,7 @@ def _schedule_of(algorithm, topology, machine, msg_size=64):
         payloads=list(range(topology.n)),
         results=[{} for _ in range(topology.n)],
     )
-    return algorithm.schedule_for(ctx)
+    return algorithm.build_schedule(ctx)
 
 
 class TestAutoEqualsDes:

@@ -13,17 +13,23 @@ diverge:
 * watchdog budgets tripping on the same event as the engine;
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
-  regression), one entry per (schedule, machine), plus LRU bounds and
-  stats.
+  regression), one structure per (schedule, machine) priced once per
+  block size, plus LRU bounds and stats;
+* size-free plans: a block-unit schedule priced at any block size equals
+  the Engine running it with every byte count scaled, and equals the
+  schedule the algorithm builds in bytes at that size;
+* the structural digest: equal for rebuilt schedules, different for any
+  single-op change.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.collectives.base import ExecutionContext, get_algorithm
-from repro.collectives.runner import RunOptions, run_allgather
-from repro.exec.spec import MachineSpec, TopologySpec
+import repro.exec
+from repro.collectives.base import ExecutionContext, get_algorithm, list_algorithms
+from repro.collectives.runner import RunOptions, run_allgather, run_allgatherv
+from repro.exec.spec import MachineSpec, RunSpec, TopologySpec
 from repro.sim.engine import DeadlockError, SimTimeoutError
 from repro.sim.fastpath import execute_schedule, multi_plan_for
 from repro.sim.plancache import (
@@ -47,32 +53,42 @@ def _machine(nodes=2, sockets=2, rps=4):
                        ranks_per_socket=rps).build()
 
 
-def _schedule_for(name, kwargs, n, nodes, density, msg=4096, seed=3):
+def _ctx(topology, machine, msg, block_sizes=None):
+    return ExecutionContext(
+        topology=topology, machine=machine, msg_size=msg,
+        payloads=list(range(topology.n)),
+        results=[{} for _ in range(topology.n)], block_sizes=block_sizes,
+    )
+
+
+def _setup(name, kwargs, n=48, nodes=3, density=0.3, seed=3):
     machine = _machine(nodes=nodes, rps=max(1, n // (nodes * 2)))
     topology = TopologySpec("random", n, density=density, seed=seed).build()
     algorithm = get_algorithm(name, **kwargs)
     algorithm.setup(topology, machine)
-    ctx = ExecutionContext(
-        topology=topology, machine=machine, msg_size=msg,
-        payloads=list(range(n)), results=[{} for _ in range(n)],
-    )
-    return algorithm.schedule_for(ctx), machine
+    return algorithm, topology, machine
 
 
-def _assert_identical(schedule, machine, **budgets):
+def _schedule_for(name, kwargs, n, nodes, density, msg=4096, seed=3):
+    """The schedule ``name`` builds in bytes at ``msg``, and its machine."""
+    algorithm, topology, machine = _setup(name, kwargs, n, nodes, density, seed)
+    return algorithm.build_schedule(_ctx(topology, machine, msg)), machine
+
+
+def _assert_identical(schedule, machine, block_size=1, **budgets):
     """The executor must match the Engine field-for-field — or, for a
     budgeted run, trip the same watchdog with the same message.  Returns
     the fast outcome (``None`` when the budget tripped)."""
     try:
-        ref = run_on_engine(schedule, machine, **budgets)
+        ref = run_on_engine(schedule, machine, block_size, **budgets)
     except SimTimeoutError as exc:
         with pytest.raises(SimTimeoutError) as fast:
-            execute_schedule(schedule, machine, **budgets)
+            execute_schedule(schedule, machine, block_size, **budgets)
         assert str(fast.value) == str(exc)
         assert fast.value.budget == exc.budget
         assert fast.value.events_processed == exc.events_processed
         return None
-    out = execute_schedule(schedule, machine, **budgets)
+    out = execute_schedule(schedule, machine, block_size, **budgets)
     assert out is not None
     assert out.simulated_time == ref.simulated_time
     assert out.finish_times == ref.finish_times
@@ -324,7 +340,7 @@ class TestPlanCacheKeying:
 
     def test_one_auto_run_leaves_one_plan(self):
         # One compile per (schedule, machine): a single auto run on a
-        # fresh cache stores exactly one plan.
+        # fresh cache stores exactly one structure and one priced plan.
         machine = _machine(nodes=2, rps=4)
         topology = TopologySpec("random", 16, density=0.4, seed=2).build()
         algorithm = get_algorithm("common_neighbor", k=4)
@@ -334,7 +350,7 @@ class TestPlanCacheKeying:
             run = run_allgather(algorithm, topology, machine, 256,
                                 options=RunOptions(sim_mode="auto"))
             assert run.sim_path == "fastpath"
-            assert plan_cache_stats()["size"] == 1
+            assert plan_cache_stats()["size"] == 2
         finally:
             reset_plan_cache()
 
@@ -422,3 +438,189 @@ class TestPlanCacheBounds:
         assert PLAN_CACHE.hits > hits_before
         assert second.simulated_time == first.simulated_time
         assert second.events_processed == first.events_processed
+
+
+BENCH_ALGORITHMS = [(info.name, dict(info.bench_kwargs))
+                    for info in list_algorithms(requires=("bench",))]
+#: Block sizes spanning zero, tiny, odd, the benchmark's sizes and a prime.
+SIZES = (0, 1, 3, 8, 8192, 524288, 1000003)
+
+
+def _scaled(ops, m):
+    if ops is None:
+        return None
+    out = []
+    for op in ops:
+        if op[0] == "charge":
+            out.append(("charge", op[1] * m))
+        elif op[0] == "send":
+            out.append(("send", op[1], op[2] * m, op[3]))
+        else:
+            out.append(op)
+    return out
+
+
+class TestSizeFreePlans:
+    """One structure per (schedule, machine), priced per block size, must
+    stay bit-identical to the Engine at every size."""
+
+    @pytest.mark.parametrize("name,kwargs", BENCH_ALGORITHMS)
+    def test_block_unit_schedule_scales_to_the_byte_schedule(self, name, kwargs):
+        # The linearity the structure rests on: the block-unit schedule
+        # with every count times m is the schedule built in bytes at m.
+        algorithm, topology, machine = _setup(name, kwargs)
+        unit = algorithm.schedule_for(_ctx(topology, machine, 4096))
+        for m in SIZES:
+            ctx = _ctx(topology, machine, m)
+            assert ctx.schedule_scale == m
+            assert algorithm.schedule_for(ctx) is unit
+            built = algorithm.build_schedule(ctx)
+            assert built.ops == [_scaled(ops, m) for ops in unit.ops]
+            assert built.deliveries == unit.deliveries
+
+    @pytest.mark.parametrize("name,kwargs", BENCH_ALGORITHMS)
+    def test_every_size_matches_engine_from_one_structure(self, name, kwargs):
+        algorithm, topology, machine = _setup(name, kwargs)
+        schedule = algorithm.schedule_for(_ctx(topology, machine, 8))
+        reset_plan_cache()
+        try:
+            outs = {m: _assert_identical(schedule, machine, m) for m in SIZES}
+            for m in SIZES:
+                assert outs[m].bytes_sent == outs[1].bytes_sent * m
+            # one structure miss, then one priced miss per size
+            stats = plan_cache_stats()
+            assert stats["misses"] == len(SIZES) + 1
+            assert stats["hits"] == len(SIZES) - 1
+            assert stats["size"] == len(SIZES) + 1
+        finally:
+            reset_plan_cache()
+
+    def test_three_size_sweep_builds_one_structure(self):
+        algorithm, topology, machine = _setup("common_neighbor", {"k": 4})
+        reset_plan_cache()
+        try:
+            for m in (8, 8192, 524288):
+                auto = run_allgather(algorithm, topology, machine, m,
+                                     options=RunOptions(sim_mode="auto"))
+                des = run_allgather(algorithm, topology, machine, m,
+                                    options=RunOptions(sim_mode="des"))
+                assert auto.sim_path == "fastpath"
+                assert auto.simulated_time == des.simulated_time
+                assert auto.bytes_sent == des.bytes_sent
+            assert plan_cache_stats() == {
+                "hits": 2, "misses": 4, "evictions": 0, "size": 4,
+                "max_entries": PLAN_CACHE.max_entries, "hit_rate": 2 / 6,
+            }
+            # a warm repeat is one priced hit per size, no new entry
+            for m in (8, 8192, 524288):
+                run_allgather(algorithm, topology, machine, m,
+                              options=RunOptions(sim_mode="auto"))
+            assert plan_cache_stats()["hits"] == 5
+            assert plan_cache_stats()["size"] == 4
+        finally:
+            reset_plan_cache()
+
+    def test_sweep_pass_compiles_once_per_topology_and_algorithm(self):
+        # The benchmark's cold sweep shape (fresh instances per cell, 2
+        # densities x 3 sizes x every bench algorithm) at a small rank
+        # count: one structure per (topology, algorithm, machine).
+        options = RunOptions(verify=True, sim_mode="auto")
+        specs = [
+            RunSpec(algorithm=name,
+                    topology=TopologySpec("random", 32, density=d, seed=23),
+                    machine=MachineSpec.for_ranks(32, 8),
+                    msg_size=size, algorithm_kwargs=tuple(kwargs.items()),
+                    options=options)
+            for d in (0.1, 0.3)
+            for size in (8, 8 * 1024, 512 * 1024)
+            for name, kwargs in BENCH_ALGORITHMS
+        ]
+        structures = 2 * len(BENCH_ALGORITHMS)
+        reset_plan_cache()
+        try:
+            result = repro.exec.execute(specs, workers=1)
+            result.raise_errors()
+            assert {run.sim_path for run in result.runs} == {"fastpath"}
+            stats = plan_cache_stats()
+            assert stats["misses"] == len(specs) + structures
+            assert stats["hits"] == len(specs) - structures
+            assert stats["size"] == len(specs) + structures
+        finally:
+            reset_plan_cache()
+
+    @pytest.mark.parametrize("name,kwargs", BENCH_ALGORITHMS)
+    def test_allgatherv_runs_stay_exact(self, name, kwargs):
+        algorithm, topology, machine = _setup(name, kwargs, n=32, nodes=2)
+        sizes = [(37 * r) % 1000 + 1 for r in range(topology.n)]
+        ctx = _ctx(topology, machine, max(sizes), block_sizes=sizes)
+        assert ctx.schedule_scale == 1
+        schedule = algorithm.schedule_for(ctx)
+        assert schedule.ops == algorithm.build_schedule(ctx).ops
+        _assert_identical(schedule, machine)
+        des = run_allgatherv(algorithm, topology, machine, sizes,
+                             options=RunOptions(sim_mode="des"))
+        auto = run_allgatherv(algorithm, topology, machine, sizes,
+                              options=RunOptions(sim_mode="auto"))
+        assert auto.sim_path == "fastpath"
+        assert auto.simulated_time == des.simulated_time
+        assert auto.finish_times == des.finish_times
+        assert auto.bytes_sent == des.bytes_sent
+        assert auto.results == des.results
+
+    @pytest.mark.parametrize("m", [64, 524288])
+    def test_budgets_trip_on_the_engines_event_at_each_size(self, m):
+        algorithm, topology, machine = _setup("distance_halving", {},
+                                              n=16, nodes=2)
+        schedule = algorithm.schedule_for(_ctx(topology, machine, m))
+        ref = run_on_engine(schedule, machine, m)
+        events, makespan = ref.events_processed, ref.simulated_time
+        assert _assert_identical(schedule, machine, m, max_events=events)
+        for budget in (events - 1, events // 2):
+            assert _assert_identical(schedule, machine, m,
+                                     max_events=budget) is None
+        assert _assert_identical(schedule, machine, m, max_sim_time=makespan)
+        assert _assert_identical(schedule, machine, m,
+                                 max_sim_time=makespan / 2) is None
+
+    def test_negative_block_size_is_rejected(self):
+        schedule, machine = _schedule_for("naive", {}, 16, 2, 0.4)
+        with pytest.raises(ValueError, match="block_size"):
+            execute_schedule(schedule, machine, -1)
+
+
+class TestStructuralDigest:
+    def test_rebuilt_schedules_share_a_digest(self):
+        for name, kwargs in BENCH_ALGORITHMS:
+            first, _ = _schedule_for(name, kwargs, 32, 2, 0.3)
+            again, _ = _schedule_for(name, kwargs, 32, 2, 0.3)
+            assert first is not again
+            assert structural_digest(first) == structural_digest(again)
+
+    @pytest.mark.parametrize("edit", ["dst", "tag", "count", "kind",
+                                      "charge", "none_rank"])
+    def test_any_single_op_change_changes_it(self, edit):
+        base = [
+            [("charge", 64), ("send", 1, 64, 0), ("recv", 1, 0), ("wait",)],
+            [("send", 0, 64, 0), ("recv", 0, 0), ("wait",)],
+            [("wait",)],
+        ]
+        changed = [list(ops) for ops in base]
+        if edit == "dst":
+            changed[0][1] = ("send", 2, 64, 0)
+        elif edit == "tag":
+            changed[0][1] = ("send", 1, 64, 1)
+        elif edit == "count":
+            changed[0][1] = ("send", 1, 65, 0)
+        elif edit == "kind":
+            changed[0][2] = ("send", 1, 0)
+        elif edit == "charge":
+            changed[0][0] = ("charge", 63)
+        else:
+            changed[2] = None
+
+        def digest(ops):
+            return structural_digest(
+                Schedule(n_ranks=3, ops=ops, deliveries=[[], [], []]))
+
+        assert digest(base) == digest([list(ops) for ops in base])
+        assert digest(changed) != digest(base)

@@ -212,3 +212,58 @@ class TestInvariantViolationError:
         assert excinfo.value.violations
         assert isinstance(excinfo.value, AssertionError)
         assert "payload_equivalence" in str(excinfo.value)
+
+
+class TestSizeMonotonicityAnomaly:
+    """The clean fuzz campaign's ``size_monotonicity [bruck]`` failure
+    (seed 0, iteration 197, shrunk to ``random n=24 m=32``) is a contention
+    anomaly of the model, not a Bruck schedule bug: both sizes replay one
+    and the same block-unit schedule, every message is cheaper at 8 B, and
+    the 8 B run is slower only because two posts racing for the same
+    node-0 -> node-2 path swap their claim order."""
+
+    def test_smaller_size_loses_a_claim_race_on_one_schedule(self, monkeypatch):
+        from repro.collectives.base import ExecutionContext, get_algorithm
+        from repro.sim.fabric import Fabric
+        from repro.sim.fastpath import execute_schedule
+        from tests.sim.engine_oracle import run_on_engine
+
+        machine = MachineSpec(nodes=4, sockets_per_node=2,
+                              ranks_per_socket=3).build()
+        topology = TopologySpec("random", 24, density=0.05,
+                                seed=552854063).build()
+        bruck = get_algorithm("bruck")
+        bruck.setup(topology, machine)
+
+        def schedule(m):
+            return bruck.schedule_for(ExecutionContext(
+                topology=topology, machine=machine, msg_size=m,
+                payloads=list(range(24)), results=[{} for _ in range(24)]))
+
+        unit = schedule(8)
+        assert schedule(32) is unit  # one schedule, hence one structure
+
+        claims: list[tuple[int, int]] = []
+        transmit = Fabric.transmit
+
+        def logged(self, src, dst, nbytes, post_time):
+            claims.append((src, dst))
+            return transmit(self, src, dst, nbytes, post_time)
+
+        monkeypatch.setattr(Fabric, "transmit", logged)
+        order, makespan = {}, {}
+        for m in (8, 32):
+            claims.clear()
+            ref = run_on_engine(unit, machine, m)
+            fast = execute_schedule(unit, machine, m)
+            assert fast.simulated_time == ref.simulated_time
+            order[m], makespan[m] = list(claims), ref.simulated_time
+        assert makespan[8] > makespan[32]
+        assert sorted(order[8]) == sorted(order[32])
+        first = next(i for i, (a, b) in enumerate(zip(order[8], order[32]))
+                     if a != b)
+        assert order[8][first:first + 2] == [(3, 15), (0, 12)]
+        assert order[32][first:first + 2] == [(0, 12), (3, 15)]
+        nodes = machine.rank_nodes
+        paths = {(nodes[s], nodes[d]) for s, d in order[8][first:first + 2]}
+        assert paths == {(0, 2)}
