@@ -40,24 +40,19 @@ class Machine:
     network: NetworkTopology
     params: HockneyParameters
 
-    # ----------------------------------------------------------- rank tables
+    # ------------------------------------------------------------ rank table
     @cached_property
     def rank_nodes(self) -> tuple[int, ...]:
         """Node index of every rank, built once per machine.
 
-        The unvalidated, table-driven counterpart of ``spec.node_of`` for
-        loops that resolve many rank pairs (fast-path plan compilation,
-        fabric stage plans).  Indices are the logical node ids the network
-        topology classifies (a placement permutation lives in the network).
+        The unvalidated, table-driven counterpart of ``spec.node_of``: the
+        link queries below validate a pair once (in
+        ``spec.intra_node_class``) and then read node ids from here.
+        Indices are the logical node ids the network topology classifies
+        (a placement permutation lives in the network).
         """
         per_node = self.spec.ranks_per_node
         return tuple(rank // per_node for rank in range(self.spec.n_ranks))
-
-    @cached_property
-    def rank_sockets(self) -> tuple[int, ...]:
-        """Global socket index of every rank (``spec.socket_of`` as a table)."""
-        per_socket = self.spec.ranks_per_socket
-        return tuple(rank // per_socket for rank in range(self.spec.n_ranks))
 
     # ------------------------------------------------------------- link query
     def link_class(self, rank_a: int, rank_b: int) -> LinkClass:
@@ -65,7 +60,8 @@ class Machine:
         base = self.spec.intra_node_class(rank_a, rank_b)
         if base is not LinkClass.INTER_NODE:
             return base
-        return self.network.classify(self.spec.node_of(rank_a), self.spec.node_of(rank_b))
+        nodes = self.rank_nodes
+        return self.network.classify(nodes[rank_a], nodes[rank_b])
 
     def link_cost(self, rank_a: int, rank_b: int) -> LinkCost:
         return self.params.cost(self.link_class(rank_a, rank_b))
@@ -79,7 +75,8 @@ class Machine:
         """Latency surcharge for hops beyond the 2-hop base path."""
         cls = self.link_class(rank_a, rank_b)
         if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-            hops = self.network.hops(self.spec.node_of(rank_a), self.spec.node_of(rank_b))
+            nodes = self.rank_nodes
+            hops = self.network.hops(nodes[rank_a], nodes[rank_b])
             return self.params.per_hop_alpha * max(0, hops - 2)
         return 0.0
 

@@ -113,11 +113,15 @@ class ClusterSpec:
         refined by :class:`repro.cluster.network.NetworkTopology`; this method
         returns ``INTER_NODE`` for any cross-node pair.
         """
+        self._check_rank(a)
+        self._check_rank(b)
         if a == b:
             return LinkClass.SELF
-        if self.same_socket(a, b):
+        rps = self.ranks_per_socket
+        if a // rps == b // rps:
             return LinkClass.INTRA_SOCKET
-        if self.same_node(a, b):
+        rpn = self.ranks_per_node
+        if a // rpn == b // rpn:
             return LinkClass.INTER_SOCKET
         return LinkClass.INTER_NODE
 

@@ -96,36 +96,20 @@ def _resolve_machine_costs(machine: Machine, adaptive: bool, src: int, dst: int)
     (:mod:`repro.sim.fastpath`): both must price a ``(src, dst)`` pair with
     byte-for-byte identical constants, so the resolution lives here once and
     the results are memoized per machine in :data:`_COSTS_BY_MACHINE`.
-    Ranks are located through the machine's rank->node/socket tables
-    (:attr:`Machine.rank_nodes`, :attr:`Machine.rank_sockets`); the link
-    class and hop surcharge equal :meth:`Machine.link_class` and
-    :meth:`Machine.hop_extra_alpha` for every pair.
     """
     params = machine.params
-    nodes = machine.rank_nodes
-    n = len(nodes)
-    for rank in (src, dst):
-        if not 0 <= rank < n:
-            raise ValueError(f"rank {rank} out of range [0, {n})")
-    node_src, node_dst = nodes[src], nodes[dst]
-    if src == dst:
-        cls = LinkClass.SELF
-    elif machine.rank_sockets[src] == machine.rank_sockets[dst]:
-        cls = LinkClass.INTRA_SOCKET
-    elif node_src == node_dst:
-        cls = LinkClass.INTER_SOCKET
-    else:
-        cls = machine.network.classify(node_src, node_dst)
+    cls = machine.link_class(src, dst)
     cost = params.cost(cls)
+    hop_extra = machine.hop_extra_alpha(src, dst)
     inv_beta = 1.0 / cost.beta
 
-    hop_extra = 0.0
+    node_src = node_dst = -1
     group_keys = None
     fixed_keys: tuple = ()
     link_inv_beta = 0.0
     if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-        hops = machine.network.hops(node_src, node_dst)
-        hop_extra = params.per_hop_alpha * max(0, hops - 2)
+        nodes = machine.rank_nodes
+        node_src, node_dst = nodes[src], nodes[dst]
         if cls is LinkClass.INTER_GROUP:
             link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
             if adaptive:
@@ -137,8 +121,6 @@ def _resolve_machine_costs(machine: Machine, adaptive: bool, src: int, dst: int)
                 fixed_keys = tuple(
                     machine.network.shared_link_keys(node_src, node_dst)
                 )
-    else:
-        node_src = node_dst = -1
     return (cls, cost.alpha, hop_extra, inv_beta, link_inv_beta,
             node_src, node_dst, group_keys, fixed_keys)
 

@@ -355,7 +355,7 @@ def _price(st: _PlanStructure, block_size: int,
     return plan
 
 
-def multi_plan_for(schedule: "Schedule", machine: "Machine", block_size: int = 1):
+def multi_plan_for(schedule: "Schedule", machine: "Machine", block_size: int):
     """The priced plan for ``schedule`` at ``block_size``, memoized.
 
     Both halves live in the structural plan cache (:mod:`repro.sim.plancache`):
@@ -679,7 +679,7 @@ def _execute_multi(
 def execute_schedule(
     schedule: "Schedule",
     machine: "Machine",
-    block_size: int = 1,
+    block_size: int,
     *,
     max_sim_time: float | None = None,
     max_events: int | None = None,
@@ -689,7 +689,9 @@ def execute_schedule(
     ``block_size`` scales the schedule's byte counts: a block-unit schedule
     (see :meth:`~repro.collectives.base.NeighborhoodAllgatherAlgorithm.schedule_for`)
     runs at ``block_size=msg_size``, a schedule already in bytes (the
-    allgatherv case, or a hand-built one) at the default 1.  The outcome
+    allgatherv case, or a hand-built one) at 1.  The argument has no
+    default, so a caller cannot price a block-unit schedule as bytes by
+    leaving it out.  The outcome
     equals the engine running the schedule with every byte count multiplied
     by ``block_size``, ``bytes_sent`` included.
 

@@ -123,9 +123,7 @@ def static_matching(schedule: Schedule):
     is False when some receive has no matching send (the run deadlocks;
     the fast path declines it and the engine reports the deadlock).
     """
-    # Per-key receive queues; a key with one pending receive (the common
-    # case: one message per neighbor edge) holds the bare slot number.
-    recv_q: dict[tuple, int | deque] = {}
+    recv_q: dict[tuple, deque] = {}
     n_slots = 0
     for rank, ops in enumerate(schedule.ops):
         if not ops:
@@ -135,11 +133,8 @@ def static_matching(schedule: Schedule):
                 key = (rank, op[1], op[2])
                 q = recv_q.get(key)
                 if q is None:
-                    recv_q[key] = n_slots
-                elif q.__class__ is int:
-                    recv_q[key] = deque((q, n_slots))
-                else:
-                    q.append(n_slots)
+                    recv_q[key] = q = deque()
+                q.append(n_slots)
                 n_slots += 1
     send_slots: list[int] = []
     for rank, ops in enumerate(schedule.ops):
@@ -147,16 +142,7 @@ def static_matching(schedule: Schedule):
             continue
         for op in ops:
             if op[0] == "send":
-                key = (op[1], rank, op[3])
-                q = recv_q.get(key)
-                if q is None:
-                    send_slots.append(-1)
-                elif q.__class__ is int:
-                    send_slots.append(q)
-                    del recv_q[key]
-                else:
-                    send_slots.append(q.popleft())
-                    if not q:
-                        del recv_q[key]
-    # Consumed keys are deleted, so any key left has an unmatched receive.
-    return send_slots, n_slots, not recv_q
+                q = recv_q.get((op[1], rank, op[3]))
+                send_slots.append(q.popleft() if q else -1)
+    fully_matched = not any(recv_q.values())
+    return send_slots, n_slots, fully_matched

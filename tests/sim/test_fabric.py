@@ -138,10 +138,10 @@ class TestUtilization:
 
 
 class TestTableDrivenCosts:
-    """``_resolve_machine_costs`` locates ranks through the machine's
-    rank->node/socket tables; it must agree with the validated
-    ``Machine.link_class``/``hop_extra_alpha``/``spec.node_of`` path for
-    every rank pair."""
+    """``Machine.link_class``/``hop_extra_alpha`` (and through them
+    ``_resolve_machine_costs``) read node ids from ``Machine.rank_nodes``;
+    they must agree with the validated ``spec.node_of``/``socket_of`` path
+    for every rank pair."""
 
     @pytest.mark.parametrize("build", [
         lambda: Machine.single_switch(nodes=3, ranks_per_socket=2),
@@ -152,37 +152,48 @@ class TestTableDrivenCosts:
     ], ids=["flat", "dragonfly_plus", "permuted"])
     def test_every_pair_matches_the_validated_path(self, build):
         machine = build()
-        spec = machine.spec
+        spec, network, params = machine.spec, machine.network, machine.params
         n = spec.n_ranks
         assert machine.rank_nodes == tuple(spec.node_of(r) for r in range(n))
-        assert machine.rank_sockets == tuple(spec.socket_of(r) for r in range(n))
         classes = set()
-        for adaptive in (False, True):
-            for src in range(n):
-                for dst in range(n):
-                    (cls, alpha, hop_extra, _, _, node_src, node_dst,
+        for src in range(n):
+            for dst in range(n):
+                node_a, node_b = spec.node_of(src), spec.node_of(dst)
+                if src == dst:
+                    want = LinkClass.SELF
+                elif spec.socket_of(src) == spec.socket_of(dst):
+                    want = LinkClass.INTRA_SOCKET
+                elif node_a == node_b:
+                    want = LinkClass.INTER_SOCKET
+                else:
+                    want = network.classify(node_a, node_b)
+                cross = want in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP)
+                hop_extra = (params.per_hop_alpha
+                             * max(0, network.hops(node_a, node_b) - 2)
+                             if cross else 0.0)
+                classes.add(want)
+                assert machine.link_class(src, dst) is want
+                assert machine.hop_extra_alpha(src, dst) == hop_extra
+                for adaptive in (False, True):
+                    (cls, alpha, hop, _, _, node_src, node_dst,
                      group_keys, fixed_keys) = _resolve_machine_costs(
                         machine, adaptive, src, dst)
-                    classes.add(cls)
-                    assert cls is machine.link_class(src, dst)
-                    assert alpha == machine.params.cost(cls).alpha
-                    assert hop_extra == machine.hop_extra_alpha(src, dst)
-                    cross = cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP)
-                    if cross:
-                        assert (node_src, node_dst) == (spec.node_of(src),
-                                                        spec.node_of(dst))
-                    else:
-                        assert (node_src, node_dst) == (-1, -1)
-                    if cls is LinkClass.INTER_GROUP and not adaptive:
+                    assert cls is want
+                    assert alpha == params.cost(want).alpha
+                    assert hop == hop_extra
+                    assert (node_src, node_dst) == (
+                        (node_a, node_b) if cross else (-1, -1))
+                    if want is LinkClass.INTER_GROUP and not adaptive:
                         assert fixed_keys == machine.shared_link_keys(src, dst)
-                    elif cls is LinkClass.INTER_GROUP:
-                        assert group_keys == machine.network.link_choices(
-                            node_src, node_dst)
+                    elif want is LinkClass.INTER_GROUP:
+                        assert group_keys == network.link_choices(
+                            node_a, node_b)
         assert LinkClass.INTER_NODE in classes
 
     def test_out_of_range_rank_is_rejected(self, machine):
         n = machine.spec.n_ranks
-        with pytest.raises(ValueError, match="out of range"):
-            _resolve_machine_costs(machine, False, 0, n)
-        with pytest.raises(ValueError, match="out of range"):
-            _resolve_machine_costs(machine, False, -1, 0)
+        for src, dst in ((0, n), (-1, 0), (n, n)):
+            with pytest.raises(ValueError, match="out of range"):
+                machine.link_class(src, dst)
+            with pytest.raises(ValueError, match="out of range"):
+                _resolve_machine_costs(machine, False, src, dst)

@@ -164,14 +164,14 @@ class TestAnalyticContract:
         topology, machine = self._uncontended_case()
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine)
-        fast = execute_schedule(schedule, machine)
+        fast = execute_schedule(schedule, machine, 1)
         ref = run_on_engine(schedule, machine)
         assert fast.simulated_time == ref.simulated_time
         assert fast.events_processed == ref.events_processed
 
 
 def _assert_matches_engine(schedule, machine):
-    fast = execute_schedule(schedule, machine)
+    fast = execute_schedule(schedule, machine, 1)
     ref = run_on_engine(schedule, machine)
     assert fast.simulated_time == ref.simulated_time
     assert fast.finish_times == ref.finish_times
@@ -189,13 +189,13 @@ class TestBatchExecutor:
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("naive", {}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert multi_plan_for(schedule, machine) is not None
+        assert multi_plan_for(schedule, machine, 1) is not None
 
     def test_multi_stage_takes_the_multi_executor(self):
         topology, machine = _build(32, 2, 0.3, seed=1)
         algorithm = _setup("common_neighbor", {"k": 4}, topology, machine)
         schedule = _schedule_of(algorithm, topology, machine, 4096)
-        assert multi_plan_for(schedule, machine) is not None
+        assert multi_plan_for(schedule, machine, 1) is not None
         _assert_matches_engine(schedule, machine)
 
     def test_single_stage_matches_engine_bit_for_bit(self):

@@ -182,8 +182,8 @@ class TestExecutorEdgeCases:
         machine = _machine(nodes=1, sockets=1, rps=2)
         schedule = self._unmatched_recv_schedule()
         assert static_matching(schedule)[2] is False
-        assert multi_plan_for(schedule, machine) is None
-        assert execute_schedule(schedule, machine) is None
+        assert multi_plan_for(schedule, machine, 1) is None
+        assert execute_schedule(schedule, machine, 1) is None
         blocked = r"blocked processes: rank 1 \(waitall\(1 pending\)\)"
         with pytest.raises(DeadlockError, match=blocked):
             run_on_engine(schedule, machine)
@@ -286,12 +286,12 @@ class TestPlanCacheKeying:
         machine_b = _machine(nodes=4, rps=2)
         reset_plan_cache()
         try:
-            ref_a = multi_plan_for(schedule, machine_a)
-            ref_b = multi_plan_for(schedule, machine_b)
+            ref_a = multi_plan_for(schedule, machine_a, 1)
+            ref_b = multi_plan_for(schedule, machine_b, 1)
             misses_after_first = PLAN_CACHE.misses
             for _ in range(3):
-                assert multi_plan_for(schedule, machine_a) is ref_a
-                assert multi_plan_for(schedule, machine_b) is ref_b
+                assert multi_plan_for(schedule, machine_a, 1) is ref_a
+                assert multi_plan_for(schedule, machine_b, 1) is ref_b
             assert PLAN_CACHE.misses == misses_after_first
             assert PLAN_CACHE.hits >= 6
         finally:
@@ -305,7 +305,7 @@ class TestPlanCacheKeying:
         machine_b = _machine(nodes=4, rps=2)
 
         def replay(machine):
-            out = execute_schedule(schedule, machine)
+            out = execute_schedule(schedule, machine, 1)
             return (out.simulated_time, tuple(out.finish_times),
                     out.events_processed)
 
@@ -326,12 +326,12 @@ class TestPlanCacheKeying:
         machine_b = _machine(nodes=4, rps=2)
         reset_plan_cache()
         try:
-            plan_a = multi_plan_for(schedule, machine_a)
-            plan_b = multi_plan_for(schedule, machine_b)
+            plan_a = multi_plan_for(schedule, machine_a, 1)
+            plan_b = multi_plan_for(schedule, machine_b, 1)
             assert plan_a is not None and plan_b is not None
             for _ in range(3):
-                assert multi_plan_for(schedule, machine_a) is plan_a
-                assert multi_plan_for(schedule, machine_b) is plan_b
+                assert multi_plan_for(schedule, machine_a, 1) is plan_a
+                assert multi_plan_for(schedule, machine_b, 1) is plan_b
         finally:
             reset_plan_cache()
         # and the results per machine stay bit-identical to the Engine
@@ -363,8 +363,8 @@ class TestPlanCacheKeying:
         assert structural_digest(sched_a) == structural_digest(sched_b)
         reset_plan_cache()
         try:
-            plan_a = multi_plan_for(sched_a, machine)
-            plan_b = multi_plan_for(sched_b, machine)
+            plan_a = multi_plan_for(sched_a, machine, 1)
+            plan_b = multi_plan_for(sched_b, machine, 1)
             assert plan_b is plan_a
             assert PLAN_CACHE.hits >= 1
         finally:
@@ -405,9 +405,9 @@ class TestPlanCacheBounds:
         schedule = TestExecutorEdgeCases._unmatched_recv_schedule()
         reset_plan_cache()
         try:
-            assert multi_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine, 1) is None
             misses = PLAN_CACHE.misses
-            assert multi_plan_for(schedule, machine) is None
+            assert multi_plan_for(schedule, machine, 1) is None
             assert PLAN_CACHE.misses == misses  # second call hit
             assert PLAN_CACHE.hits >= 1
         finally:
@@ -432,9 +432,9 @@ class TestPlanCacheBounds:
 
     def test_execute_schedule_uses_cached_plans(self):
         schedule, machine = _schedule_for("distance_halving", {}, 16, 2, 0.4)
-        first = execute_schedule(schedule, machine)
+        first = execute_schedule(schedule, machine, 1)
         hits_before = PLAN_CACHE.hits
-        second = execute_schedule(schedule, machine)
+        second = execute_schedule(schedule, machine, 1)
         assert PLAN_CACHE.hits > hits_before
         assert second.simulated_time == first.simulated_time
         assert second.events_processed == first.events_processed
@@ -586,6 +586,15 @@ class TestSizeFreePlans:
         schedule, machine = _schedule_for("naive", {}, 16, 2, 0.4)
         with pytest.raises(ValueError, match="block_size"):
             execute_schedule(schedule, machine, -1)
+
+    def test_block_size_is_required(self):
+        # A block-unit schedule replayed without its block size would be
+        # priced as bytes; leaving the argument out must fail loudly.
+        schedule, machine = _schedule_for("naive", {}, 16, 2, 0.4)
+        with pytest.raises(TypeError):
+            execute_schedule(schedule, machine)
+        with pytest.raises(TypeError):
+            multi_plan_for(schedule, machine)
 
 
 class TestStructuralDigest:
