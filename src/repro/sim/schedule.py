@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -123,7 +122,13 @@ def static_matching(schedule: Schedule):
     is False when some receive has no matching send (the run deadlocks;
     the fast path declines it and the engine reports the deadlock).
     """
-    recv_q: dict[tuple, deque] = {}
+    # Per-key FIFO queues of receive slots as linked lists over the slot
+    # numbers: ``head[key]`` is the key's oldest unmatched slot (-1 once
+    # drained), ``nxt[slot]`` the key's next slot.  Plain ints, no
+    # per-key container objects.
+    head: dict[tuple, int] = {}
+    tail: dict[tuple, int] = {}
+    nxt: list[int] = []
     n_slots = 0
     for rank, ops in enumerate(schedule.ops):
         if not ops:
@@ -131,10 +136,13 @@ def static_matching(schedule: Schedule):
         for op in ops:
             if op[0] == "recv":
                 key = (rank, op[1], op[2])
-                q = recv_q.get(key)
-                if q is None:
-                    recv_q[key] = q = deque()
-                q.append(n_slots)
+                last = tail.get(key)
+                if last is None:
+                    head[key] = n_slots
+                else:
+                    nxt[last] = n_slots
+                tail[key] = n_slots
+                nxt.append(-1)
                 n_slots += 1
     send_slots: list[int] = []
     for rank, ops in enumerate(schedule.ops):
@@ -142,7 +150,10 @@ def static_matching(schedule: Schedule):
             continue
         for op in ops:
             if op[0] == "send":
-                q = recv_q.get((op[1], rank, op[3]))
-                send_slots.append(q.popleft() if q else -1)
-    fully_matched = not any(recv_q.values())
+                key = (op[1], rank, op[3])
+                slot = head.get(key, -1)
+                if slot >= 0:
+                    head[key] = nxt[slot]
+                send_slots.append(slot)
+    fully_matched = all(slot < 0 for slot in head.values())
     return send_slots, n_slots, fully_matched

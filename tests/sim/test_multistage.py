@@ -167,6 +167,29 @@ class TestExecutorEdgeCases:
         assert fully_matched and slots == [0, -1] and n_slots == 1
         _assert_identical(schedule, machine)
 
+    def test_matching_is_fifo_per_key_across_stages(self):
+        # Several receives share key (1, 0, tag 0) across two stages, with
+        # another tag in between: the k-th send of a key takes the key's
+        # k-th receive, and a send after the key drains gets -1.
+        machine = _machine(nodes=1, sockets=1, rps=2)
+        ops = [
+            [("send", 1, 64, 0), ("send", 1, 64, 5), ("send", 1, 64, 0),
+             ("wait",), ("send", 1, 64, 0), ("send", 1, 64, 0), ("wait",)],
+            [("recv", 0, 0), ("recv", 0, 5), ("wait",),
+             ("recv", 0, 0), ("recv", 0, 0), ("wait",)],
+        ]
+        schedule = Schedule(n_ranks=2, ops=ops, deliveries=[[], [0]])
+        assert static_matching(schedule) == ([0, 1, 2, 3, -1], 4, True)
+        _assert_identical(schedule, machine)
+        # one more tag-0 receive takes the fifth send; a second tag-5
+        # receive is left without a sender
+        more = [ops[0], ops[1][:-1] + [("recv", 0, 0), ("wait",)]]
+        schedule = Schedule(n_ranks=2, ops=more, deliveries=[[], [0]])
+        assert static_matching(schedule) == ([0, 1, 2, 3, 4], 5, True)
+        more[1] = more[1][:-1] + [("recv", 0, 5), ("wait",)]
+        schedule = Schedule(n_ranks=2, ops=more, deliveries=[[], [0]])
+        assert static_matching(schedule)[2] is False
+
     @staticmethod
     def _unmatched_recv_schedule():
         ops = [
