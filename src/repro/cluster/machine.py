@@ -3,13 +3,24 @@
 Everything the simulator needs to price a message between two ranks lives
 here; :class:`Machine` is the single object passed around by the collectives
 harness, the benchmarks, and the analytic model.
+
+A machine is also the one owner of what is derived from it: the rank→node
+table, its structural :attr:`Machine.digest` (the machine half of every
+compiled-plan cache key) and the per-socket-pair costs
+(:meth:`Machine.pair_costs`) that the DES fabric and the fast path price
+from.  Each is memoized on the object itself, so a copy made with
+``dataclasses.replace`` starts with none of them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable
+from typing import Any, Hashable
 
 from repro.cluster.hockney import NIAGARA_LIKE, HockneyParameters, LinkCost
 from repro.cluster.network import (
@@ -53,6 +64,78 @@ class Machine:
         """
         per_node = self.spec.ranks_per_node
         return tuple(rank // per_node for rank in range(self.spec.n_ranks))
+
+    # -------------------------------------------------------------- identity
+    @cached_property
+    def digest(self) -> str:
+        """Structural identity of this machine, built once per object.
+
+        A hash of :func:`_fingerprint` over every field — the cluster
+        shape, every Hockney constant and the network topology's full
+        constructor state (placement permutations included) — so two
+        structurally equal machines share a digest and therefore share
+        compiled plans, and any change to what can price a message yields
+        a new one.
+        """
+        return hashlib.blake2b(
+            _fingerprint(self).encode(), digest_size=16
+        ).hexdigest()
+
+    # ------------------------------------------------------------ pair costs
+    @cached_property
+    def _pair_cost_table(self) -> dict[tuple[int, int], tuple]:
+        return {}
+
+    def pair_costs(self, src: int, dst: int) -> tuple:
+        """Everything fixed about a message from ``src`` to ``dst`` but its size.
+
+        Returns ``(link_class, alpha, hop_extra, inv_beta, link_inv_beta,
+        node_src, node_dst, group_keys, fixed_keys)``; ``node_src == -1``
+        marks an intra-node path, ``group_keys`` is the adaptive lane
+        choice (``params.adaptive_routing``) and ``fixed_keys`` the
+        oblivious one.  For distinct ranks the tuple depends only on their
+        socket pair and is memoized per socket pair, so the DES fabric and
+        the fast path price every pair from the same constants.  A
+        self-send (``SELF``, priced as a memcpy by both) is resolved
+        without the memo.
+        """
+        if src == dst:
+            return self._resolve_pair_costs(src, dst)
+        rps = self.spec.ranks_per_socket
+        key = (src // rps, dst // rps)
+        table = self._pair_cost_table
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = self._resolve_pair_costs(src, dst)
+        return entry
+
+    def _resolve_pair_costs(self, src: int, dst: int) -> tuple:
+        params = self.params
+        cls = self.link_class(src, dst)
+        cost = params.cost(cls)
+        hop_extra = self.hop_extra_alpha(src, dst)
+        inv_beta = 1.0 / cost.beta
+
+        node_src = node_dst = -1
+        group_keys = None
+        fixed_keys: tuple = ()
+        link_inv_beta = 0.0
+        if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
+            nodes = self.rank_nodes
+            node_src, node_dst = nodes[src], nodes[dst]
+            if cls is LinkClass.INTER_GROUP:
+                link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
+                if params.adaptive_routing:
+                    group_keys = tuple(
+                        tuple(group)
+                        for group in self.network.link_choices(node_src, node_dst)
+                    )
+                else:
+                    fixed_keys = tuple(
+                        self.network.shared_link_keys(node_src, node_dst)
+                    )
+        return (cls, cost.alpha, hop_extra, inv_beta, link_inv_beta,
+                node_src, node_dst, group_keys, fixed_keys)
 
     # ------------------------------------------------------------- link query
     def link_class(self, rank_a: int, rank_b: int) -> LinkClass:
@@ -135,13 +218,11 @@ class Machine:
         runs on physical node ``perm[i]``.  Rank numbering (and therefore
         every algorithm's pattern) is unchanged; only distances move.
         """
-        from dataclasses import replace
-
         if len(tuple(perm)) != self.spec.nodes:
             raise ValueError(
                 f"permutation has {len(tuple(perm))} entries for {self.spec.nodes} nodes"
             )
-        return replace(self, network=PermutedNodes(self.network, perm))
+        return dataclasses.replace(self, network=PermutedNodes(self.network, perm))
 
     def random_placement(self, seed: RandomState = None) -> "Machine":
         """Shuffled node assignment — one draw of the scheduler lottery."""
@@ -150,3 +231,40 @@ class Machine:
 
     def describe(self) -> str:
         return f"{self.spec.describe()} over {self.network.describe()}"
+
+
+def _fingerprint(value: Any) -> str:
+    """Canonical text of a machine component, walked structurally.
+
+    Dataclasses go field by field, network topologies attribute by
+    attribute (``vars()``, so a nested ``PermutedNodes.base`` is walked
+    too), enums by name, dicts by sorted items, sequences element by
+    element, numbers by the ``repr`` of their Python value.  Anything else
+    raises: a value the walk cannot name must not silently drop out of the
+    digest.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        body = ",".join(
+            f"{f.name}={_fingerprint(getattr(value, f.name))}"
+            for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({body})"
+    if isinstance(value, NetworkTopology):
+        body = ",".join(
+            f"{name}={_fingerprint(attr)}" for name, attr in sorted(vars(value).items())
+        )
+        return f"{type(value).__name__}{{{body}}}"
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, dict):
+        items = sorted((_fingerprint(k), _fingerprint(v)) for k, v in value.items())
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(map(_fingerprint, value)) + "]"
+    if value is None or isinstance(value, (bool, str)):
+        return repr(value)
+    if isinstance(value, numbers.Integral):
+        return repr(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
+    raise TypeError(f"cannot fingerprint a {type(value).__name__} in a Machine")

@@ -30,7 +30,7 @@ from repro.sim.faults import (
     resilience_profiles,
 )
 from repro.sim.fastpath import FastRunOutcome, execute_schedule
-from repro.sim.plancache import PlanCache, machine_digest, plan_cache_stats, reset_plan_cache
+from repro.sim.plancache import PlanCache, plan_cache_stats, reset_plan_cache
 from repro.sim.request import Request
 from repro.sim.schedule import (
     Schedule,
@@ -70,7 +70,6 @@ __all__ = [
     "static_matching",
     "structural_digest",
     "PlanCache",
-    "machine_digest",
     "plan_cache_stats",
     "reset_plan_cache",
 ]

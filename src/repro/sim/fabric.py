@@ -16,15 +16,17 @@ congestion effects the paper's Section IV describes.
 Hot-path design: everything about a message's pipeline except its byte count
 and the adaptive lane choice is determined by the (socket, socket) pair, so
 :class:`Fabric` caches one :class:`_StagePlan` per socket pair — resolved
-resource objects, link class, alpha, inverse betas — and ``transmit`` runs a
-branch-light, allocation-free claim sequence against it.  This is what keeps
-paper-scale sweeps (millions of messages) feasible in pure Python.
+resource objects, link class, alpha, inverse betas — and every transmission
+runs one branch-light, allocation-free claim sequence (:meth:`Fabric._claim`)
+against it.  The cost half of each plan is the machine's own memo
+(:meth:`~repro.cluster.machine.Machine.pair_costs`), shared with the
+schedule fast path.  This is what keeps paper-scale sweeps (millions of
+messages) feasible in pure Python.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,69 +62,6 @@ class MessageTiming:
 def _next_free(res: SerialResource) -> float:
     """Adaptive-routing sort key (module-level: no per-call closure)."""
     return res.next_free
-
-
-#: Machine-determined plan costs, shared across every Fabric built over the
-#: same :class:`Machine` object.  Each ``run_allgather`` constructs a fresh
-#: Engine/Fabric, but link classes, alphas, hop surcharges and link keys are
-#: functions of the machine alone — resolving them once per machine instead
-#: of once per run keeps repeated sweeps off the ``link_class``/``node_of``
-#: slow path.  Entries map a socket-pair key to ``(link_class, alpha,
-#: hop_extra, inv_beta, link_inv_beta, node_src, node_dst, group_keys,
-#: fixed_keys)`` with ``node_src == -1`` marking intra-node paths.  Keyed by
-#: ``id()`` with a weakref guard: a dead Machine's entry is dropped by the
-#: callback, and the identity re-check protects against id reuse.
-_COSTS_BY_MACHINE: dict[int, tuple[weakref.ref, dict[int, tuple]]] = {}
-
-
-def _machine_cost_table(machine: Machine) -> dict[int, tuple]:
-    key = id(machine)
-    entry = _COSTS_BY_MACHINE.get(key)
-    if entry is not None and entry[0]() is machine:
-        return entry[1]
-    table: dict[int, tuple] = {}
-
-    def _drop(_ref, _key=key):
-        _COSTS_BY_MACHINE.pop(_key, None)
-
-    _COSTS_BY_MACHINE[key] = (weakref.ref(machine, _drop), table)
-    return table
-
-
-def _resolve_machine_costs(machine: Machine, adaptive: bool, src: int, dst: int) -> tuple:
-    """Machine-determined half of a stage plan (no resource objects).
-
-    Shared between :class:`Fabric` and the schedule fast path
-    (:mod:`repro.sim.fastpath`): both must price a ``(src, dst)`` pair with
-    byte-for-byte identical constants, so the resolution lives here once and
-    the results are memoized per machine in :data:`_COSTS_BY_MACHINE`.
-    """
-    params = machine.params
-    cls = machine.link_class(src, dst)
-    cost = params.cost(cls)
-    hop_extra = machine.hop_extra_alpha(src, dst)
-    inv_beta = 1.0 / cost.beta
-
-    node_src = node_dst = -1
-    group_keys = None
-    fixed_keys: tuple = ()
-    link_inv_beta = 0.0
-    if cls in (LinkClass.INTER_NODE, LinkClass.INTER_GROUP):
-        nodes = machine.rank_nodes
-        node_src, node_dst = nodes[src], nodes[dst]
-        if cls is LinkClass.INTER_GROUP:
-            link_inv_beta = 1.0 / params.cost(LinkClass.INTER_GROUP).beta
-            if adaptive:
-                group_keys = tuple(
-                    tuple(group)
-                    for group in machine.network.link_choices(node_src, node_dst)
-                )
-            else:
-                fixed_keys = tuple(
-                    machine.network.shared_link_keys(node_src, node_dst)
-                )
-    return (cls, cost.alpha, hop_extra, inv_beta, link_inv_beta,
-            node_src, node_dst, group_keys, fixed_keys)
 
 
 class _StagePlan:
@@ -170,8 +109,8 @@ class Fabric:
     ``faults`` installs a :class:`~repro.sim.faults.FaultInjector`: every
     transmission is routed through :meth:`_transmit_faulty` (perturbed
     costs, probabilistic drop, timeout/backoff retransmission) instead of
-    the pristine inline fast path.  With no injector the hot path is
-    exactly the PR-1 optimized sequence.
+    the pristine path.  Both end in the same claim sequence,
+    :meth:`_claim`.
     """
 
     def __init__(
@@ -194,33 +133,26 @@ class Fabric:
 
         spec = machine.spec
         self._ranks_per_socket = spec.ranks_per_socket
-        self._sockets_per_node = spec.sockets_per_node
         self._n_sockets = spec.n_sockets
         self._memcpy_beta = params.memcpy_beta
         self._nic_overhead = params.nic_message_overhead
         self._link_overhead = params.link_message_overhead
-        self._adaptive = params.adaptive_routing
         # Per-(socket, socket) pipeline plans, keyed by the flat socket-pair
         # index; rank-pair space can be huge, the socket pair fully
         # determines every per-message cost and resource except byte count.
         # Resource objects are per-Fabric; the cost half of each plan comes
-        # from the machine-wide shared table.
+        # from the machine's own memo (``Machine.pair_costs``).
         self._plans: dict[int, _StagePlan] = {}
-        self._shared_costs = _machine_cost_table(machine)
         # Lazy per-rank port caches (list index beats dict hashing; the pool
         # stays authoritative so utilization() reports only touched ports).
         self._send_fast: list[SerialResource | None] = [None] * spec.n_ranks
         self._recv_fast: list[SerialResource | None] = [None] * spec.n_ranks
 
     # ----------------------------------------------------------------- plans
-    def _build_plan(self, src: int, dst: int, key: int) -> _StagePlan:
+    def _build_plan(self, src: int, dst: int) -> _StagePlan:
         """Resolve the full pipeline for ``src``'s and ``dst``'s socket pair."""
-        entry = self._shared_costs.get(key)
-        if entry is None:
-            entry = self._resolve_costs(src, dst)
-            self._shared_costs[key] = entry
         (cls, alpha, hop_extra, inv_beta, link_inv_beta,
-         node_src, node_dst, group_keys, fixed_keys) = entry
+         node_src, node_dst, group_keys, fixed_keys) = self.machine.pair_costs(src, dst)
 
         nic_tx = nic_rx = None
         fixed_links: tuple[SerialResource, ...] = ()
@@ -236,10 +168,6 @@ class Fabric:
                 fixed_links = tuple(self._links.get(k) for k in fixed_keys)
         return _StagePlan(cls, alpha, hop_extra, inv_beta,
                           nic_tx, nic_rx, fixed_links, link_groups, link_inv_beta)
-
-    def _resolve_costs(self, src: int, dst: int) -> tuple:
-        """Machine-determined half of a plan (no resource objects)."""
-        return _resolve_machine_costs(self.machine, self._adaptive, src, dst)
 
     # --------------------------------------------------------------- schedule
     def transmit(self, src: int, dst: int, nbytes: int, post_time: float) -> MessageTiming:
@@ -266,7 +194,7 @@ class Fabric:
         key = (src // rps) * self._n_sockets + (dst // rps)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._build_plan(src, dst, key)
+            plan = self._build_plan(src, dst)
             self._plans[key] = plan
 
         if self._faults is not None:
@@ -278,98 +206,9 @@ class Fabric:
             noise = 1.0 + self._jitter * float(self._noise.random())
             alpha *= noise
             hop_extra *= noise
-        dur = nbytes * plan.inv_beta
-        port_dur = alpha + dur
-
-        # Stage 1: sender port.  The first stage can never be outrun by
-        # upstream data, so no cut-through adjustment is needed here.
-        res = self._send_fast[src]
-        if res is None:
-            self._send_fast[src] = res = self._send_ports.get(src)
-        start = post_time if post_time > res.next_free else res.next_free
-        end = start + port_dur
-        res.next_free = end
-        res.busy_time += port_dur
-        res.claims += 1
-        send_complete = end
-        prev_start = start
-        pipeline_end = end
-
-        nic = plan.nic_tx
-        if nic is not None:
-            nic_dur = self._nic_overhead + dur
-            # TX NIC.
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
-            # Shared bottleneck links (inter-group only).
-            groups = plan.link_groups
-            if groups is not None or plan.fixed_links:
-                link_dur = self._link_overhead + nbytes * plan.link_inv_beta
-                if groups is None:
-                    lanes = plan.fixed_links
-                elif len(groups) == 1:
-                    # Adaptive (UGAL-like): least-loaded lane, first minimal
-                    # on ties.  One bottleneck with two lanes is the common
-                    # Dragonfly+ case; avoid min()'s key-fn calls there.
-                    group = groups[0]
-                    if len(group) == 2:
-                        a = group[0]
-                        b = group[1]
-                        lanes = ((a if a.next_free <= b.next_free else b),)
-                    else:
-                        lanes = (min(group, key=_next_free),)
-                else:
-                    # Pick every lane before claiming any.
-                    lanes = [min(group, key=_next_free) for group in groups]
-                for res in lanes:
-                    start = prev_start if prev_start > res.next_free else res.next_free
-                    end = start + link_dur
-                    res.busy_time += link_dur
-                    res.claims += 1
-                    if end < pipeline_end:
-                        res.busy_time += pipeline_end - end
-                        end = pipeline_end
-                    res.next_free = end
-                    prev_start = start
-                    pipeline_end = end
-            # RX NIC.
-            nic = plan.nic_rx
-            start = prev_start if prev_start > nic.next_free else nic.next_free
-            end = start + nic_dur
-            nic.busy_time += nic_dur
-            nic.claims += 1
-            if end < pipeline_end:
-                nic.busy_time += pipeline_end - end
-                end = pipeline_end
-            nic.next_free = end
-            prev_start = start
-            pipeline_end = end
-
-        # Final stage: receiver port.
-        res = self._recv_fast[dst]
-        if res is None:
-            self._recv_fast[dst] = res = self._recv_ports.get(dst)
-        start = prev_start if prev_start > res.next_free else res.next_free
-        end = start + port_dur
-        res.busy_time += port_dur
-        res.claims += 1
-        if end < pipeline_end:
-            # A faster downstream stage cannot finish before upstream data
-            # has fully streamed through; the port stays occupied while it
-            # drains, so the extension counts as busy time.
-            res.busy_time += pipeline_end - end
-            end = pipeline_end
-        res.next_free = end
-        pipeline_end = end
-
+        send_complete, pipeline_end = self._claim(
+            plan, src, dst, nbytes, post_time, alpha, plan.inv_beta, plan.link_inv_beta
+        )
         return MessageTiming(send_complete, pipeline_end + hop_extra, plan.link_class)
 
     # ----------------------------------------------------------------- faults
@@ -426,14 +265,16 @@ class Fabric:
     ) -> tuple[float, float]:
         """One pipeline claim pass with explicit (possibly perturbed) costs.
 
-        Mirror of :meth:`transmit`'s inline claim sequence — keep the two in
-        sync (the golden-grid no-op regression test pins their arithmetic
-        equivalence; ``transmit`` stays inlined because the pristine path is
-        the wall-clock hot path).
+        The fabric's single claim sequence: :meth:`transmit` calls it with
+        the plan's own costs, :meth:`_transmit_faulty` once per attempt with
+        perturbed ones.  Returns ``(send_complete, pipeline_end)``; the
+        caller adds the hop surcharge to get the arrival time.
         """
         dur = nbytes * inv_beta
         port_dur = alpha + dur
 
+        # Stage 1: sender port.  The first stage can never be outrun by
+        # upstream data, so no cut-through adjustment is needed here.
         res = self._send_fast[src]
         if res is None:
             self._send_fast[src] = res = self._send_ports.get(src)
@@ -449,6 +290,7 @@ class Fabric:
         nic = plan.nic_tx
         if nic is not None:
             nic_dur = self._nic_overhead + dur
+            # TX NIC.
             start = prev_start if prev_start > nic.next_free else nic.next_free
             end = start + nic_dur
             nic.busy_time += nic_dur
@@ -459,12 +301,16 @@ class Fabric:
             nic.next_free = end
             prev_start = start
             pipeline_end = end
+            # Shared bottleneck links (inter-group only).
             groups = plan.link_groups
             if groups is not None or plan.fixed_links:
                 link_dur = self._link_overhead + nbytes * link_inv_beta
                 if groups is None:
                     lanes = plan.fixed_links
                 elif len(groups) == 1:
+                    # Adaptive (UGAL-like): least-loaded lane, first minimal
+                    # on ties.  One bottleneck with two lanes is the common
+                    # Dragonfly+ case; avoid min()'s key-fn calls there.
                     group = groups[0]
                     if len(group) == 2:
                         a = group[0]
@@ -473,6 +319,7 @@ class Fabric:
                     else:
                         lanes = (min(group, key=_next_free),)
                 else:
+                    # Pick every lane before claiming any.
                     lanes = [min(group, key=_next_free) for group in groups]
                 for res in lanes:
                     start = prev_start if prev_start > res.next_free else res.next_free
@@ -485,6 +332,7 @@ class Fabric:
                     res.next_free = end
                     prev_start = start
                     pipeline_end = end
+            # RX NIC.
             nic = plan.nic_rx
             start = prev_start if prev_start > nic.next_free else nic.next_free
             end = start + nic_dur
@@ -497,6 +345,7 @@ class Fabric:
             prev_start = start
             pipeline_end = end
 
+        # Final stage: receiver port.
         res = self._recv_fast[dst]
         if res is None:
             self._recv_fast[dst] = res = self._recv_ports.get(dst)
@@ -505,6 +354,9 @@ class Fabric:
         res.busy_time += port_dur
         res.claims += 1
         if end < pipeline_end:
+            # A faster downstream stage cannot finish before upstream data
+            # has fully streamed through; the port stays occupied while it
+            # drains, so the extension counts as busy time.
             res.busy_time += pipeline_end - end
             end = pipeline_end
         res.next_free = end

@@ -3,8 +3,9 @@
 :func:`execute_schedule` replays a static :class:`~repro.sim.schedule.Schedule`
 with exactly the discrete-event engine's semantics — same event heap ordering
 ``(time, seq, rank)``, same sequence-number allocation, same FIFO matching,
-same resource-claim arithmetic (shared with :class:`~repro.sim.fabric.Fabric`
-via :func:`~repro.sim.fabric._resolve_machine_costs`) — but without generator
+same resource-claim arithmetic (priced from the same per-socket-pair
+constants as :class:`~repro.sim.fabric.Fabric`, via
+:meth:`~repro.cluster.machine.Machine.pair_costs`) — but without generator
 resumes, :class:`~repro.sim.request.Request` objects, or per-message method
 dispatch.  The result is bit-identical to the engine for every pristine run
 (no faults, no jitter, no tracing): ``sim_mode="auto"`` is a pure speedup.
@@ -60,8 +61,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.engine import DeadlockError, SimTimeoutError
-from repro.sim.fabric import _machine_cost_table, _resolve_machine_costs
-from repro.sim.plancache import _MISS, PLAN_CACHE, machine_digest
+from repro.sim.plancache import _MISS, PLAN_CACHE
 from repro.sim.schedule import spawn_wake_order, static_matching, structural_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,8 +133,6 @@ def _build_structure(schedule: "Schedule", machine: "Machine"):
     spec = machine.spec
     rps = spec.ranks_per_socket
     n_sockets = spec.n_sockets
-    adaptive = machine.params.adaptive_routing
-    costs = _machine_cost_table(machine)
 
     lane_index: dict = {}
 
@@ -148,10 +146,8 @@ def _build_structure(schedule: "Schedule", machine: "Machine"):
     pairs: dict[int, tuple] = {_SELF: (0, 0.0, 0.0, 0.0, ())}
 
     def _pair(rank, dst, key):
-        entry = costs.get(key)
-        if entry is None:
-            entry = costs[key] = _resolve_machine_costs(machine, adaptive, rank, dst)
-        _, alpha, hop_x, inv_beta, link_inv_beta, nsrc, ndst, gkeys, fkeys = entry
+        (_, alpha, hop_x, inv_beta, link_inv_beta,
+         nsrc, ndst, gkeys, fkeys) = machine.pair_costs(rank, dst)
         if nsrc < 0:
             kind, tail = 1, (hop_x,)
         elif gkeys is None and not fkeys:
@@ -367,7 +363,7 @@ def multi_plan_for(schedule: "Schedule", machine: "Machine", block_size: int):
     pattern share entries.  ``None`` (an unmatched receive) is cached too.
     """
     digest = structural_digest(schedule)
-    mdigest = machine_digest(machine)
+    mdigest = machine.digest
     key = (digest, mdigest, block_size)
     plan = PLAN_CACHE.get(key)
     if plan is _MISS:

@@ -22,8 +22,9 @@ objects describing the same communication pattern — e.g. rebuilt by a
 fresh algorithm instance for the same topology cell — share entries (the
 isomorphic-neighborhood reuse from Träff et al.).  Uniform-size schedules
 are written in block units, so their digest does not depend on the message
-size.  The machine half is :func:`machine_digest`, a recursive structural
-fingerprint of the :class:`~repro.cluster.machine.Machine` (cluster shape,
+size.  The machine half is :attr:`Machine.digest
+<repro.cluster.machine.Machine.digest>`, which the machine derives from its
+own fields by a structural walk and memoizes on itself (cluster shape,
 every Hockney constant, the network topology's constructor state including
 placement permutations) — everything that can influence a plan.
 
@@ -41,7 +42,6 @@ Stats (hits/misses/evictions) are process-global and surfaced through
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Any
 
@@ -52,72 +52,6 @@ from typing import Any
 DEFAULT_MAX_ENTRIES = 128
 
 _MISS = object()
-
-# Machine fingerprints, memoized per live Machine object.  Machine is a
-# frozen dataclass (attributes cannot be added), so the memo lives here,
-# keyed by id() with a weakref guard against id reuse — the same idiom as
-# fabric._COSTS_BY_MACHINE.
-_MACHINE_DIGESTS: dict[int, tuple[weakref.ref, str]] = {}
-
-
-def _network_fingerprint(net: Any) -> str:
-    """Recursive structural fingerprint of a NetworkTopology.
-
-    ``describe()`` is cosmetic and omits constructor state (e.g.
-    DragonflyPlus's ``links_per_pair``), so the fingerprint walks the
-    instance's own attributes: scalars by repr, sequences element-wise,
-    nested topologies (``PermutedNodes.base``) recursively.
-    """
-    parts = []
-    for name, value in sorted(vars(net).items()):
-        if hasattr(value, "shared_link_keys"):  # nested NetworkTopology
-            parts.append(f"{name}=({_network_fingerprint(value)})")
-        elif isinstance(value, (tuple, list)):
-            parts.append(f"{name}=[{','.join(repr(v) for v in value)}]")
-        else:
-            parts.append(f"{name}={value!r}")
-    return f"{type(net).__name__}{{{';'.join(parts)}}}"
-
-
-def _machine_fingerprint(machine: Any) -> str:
-    spec = machine.spec
-    params = machine.params
-    links = ";".join(
-        f"{cls.name}={cost.alpha!r},{cost.beta!r}"
-        for cls, cost in sorted(params.links.items(), key=lambda kv: kv[0].name)
-    )
-    return "|".join((
-        f"spec:{spec.nodes},{spec.sockets_per_node},{spec.ranks_per_socket}",
-        f"links:{links}",
-        f"host:{params.memcpy_beta!r},{params.call_overhead!r},"
-        f"{params.per_hop_alpha!r},{params.nic_message_overhead!r},"
-        f"{params.link_message_overhead!r},{params.jitter!r},"
-        f"{params.adaptive_routing!r}",
-        f"net:{_network_fingerprint(machine.network)}",
-    ))
-
-
-def machine_digest(machine: Any) -> str:
-    """Structural digest of a Machine — the cache key's machine half.
-
-    Covers every input the fast-path compiler reads: the cluster shape,
-    all Hockney link/host constants, routing mode, jitter, and the full
-    network topology state (recursively, so a placement permutation or a
-    non-default ``links_per_pair`` yields a distinct digest).  Memoized
-    per live object; two structurally identical machines share a digest
-    and therefore share cached plans.
-    """
-    key = id(machine)
-    entry = _MACHINE_DIGESTS.get(key)
-    if entry is not None and entry[0]() is machine:
-        return entry[1]
-    digest = _machine_fingerprint(machine)
-    _MACHINE_DIGESTS[key] = (weakref.ref(machine), digest)
-    if len(_MACHINE_DIGESTS) > 256:  # drop entries whose machine was collected
-        dead = [k for k, (ref, _) in _MACHINE_DIGESTS.items() if ref() is None]
-        for k in dead:
-            del _MACHINE_DIGESTS[k]
-    return digest
 
 
 class PlanCache:

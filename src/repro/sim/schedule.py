@@ -68,7 +68,7 @@ def structural_digest(schedule: Schedule) -> str:
     the compiler's inputs.  ``deliveries`` is excluded on purpose: it names
     result-buffer contents, which no plan depends on.  This is the
     schedule half of the compiled-plan cache key (the machine half is
-    :func:`repro.sim.plancache.machine_digest`), realizing the
+    :attr:`repro.cluster.machine.Machine.digest`), realizing the
     isomorphic-neighborhood observation: sweep cells whose schedules are
     structurally identical share one compilation.
 

@@ -1,11 +1,13 @@
 """Unit tests for the fabric's message-timing model."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import Machine
 from repro.cluster.spec import LinkClass
 from repro.exec.spec import MachineSpec
-from repro.sim.fabric import Fabric, _resolve_machine_costs
+from repro.sim.fabric import Fabric
 
 
 @pytest.fixture
@@ -139,7 +141,7 @@ class TestUtilization:
 
 class TestTableDrivenCosts:
     """``Machine.link_class``/``hop_extra_alpha`` (and through them
-    ``_resolve_machine_costs``) read node ids from ``Machine.rank_nodes``;
+    ``Machine.pair_costs``) read node ids from ``Machine.rank_nodes``;
     they must agree with the validated ``spec.node_of``/``socket_of`` path
     for every rank pair."""
 
@@ -153,6 +155,12 @@ class TestTableDrivenCosts:
     def test_every_pair_matches_the_validated_path(self, build):
         machine = build()
         spec, network, params = machine.spec, machine.network, machine.params
+        routed = {
+            adaptive: dataclasses.replace(
+                machine,
+                params=dataclasses.replace(params, adaptive_routing=adaptive))
+            for adaptive in (False, True)
+        }
         n = spec.n_ranks
         assert machine.rank_nodes == tuple(spec.node_of(r) for r in range(n))
         classes = set()
@@ -174,10 +182,10 @@ class TestTableDrivenCosts:
                 classes.add(want)
                 assert machine.link_class(src, dst) is want
                 assert machine.hop_extra_alpha(src, dst) == hop_extra
-                for adaptive in (False, True):
+                for adaptive, routed_machine in routed.items():
                     (cls, alpha, hop, _, _, node_src, node_dst,
-                     group_keys, fixed_keys) = _resolve_machine_costs(
-                        machine, adaptive, src, dst)
+                     group_keys, fixed_keys) = routed_machine.pair_costs(
+                        src, dst)
                     assert cls is want
                     assert alpha == params.cost(want).alpha
                     assert hop == hop_extra
@@ -196,4 +204,12 @@ class TestTableDrivenCosts:
             with pytest.raises(ValueError, match="out of range"):
                 machine.link_class(src, dst)
             with pytest.raises(ValueError, match="out of range"):
-                _resolve_machine_costs(machine, False, src, dst)
+                machine.pair_costs(src, dst)
+        # The per-socket-pair memo must not answer for an out-of-range
+        # rank once every valid pair is cached either.
+        for src in range(n):
+            for dst in range(n):
+                machine.pair_costs(src, dst)
+        for src, dst in ((0, n), (-1, 0), (n, n), (n - 1, n)):
+            with pytest.raises(ValueError, match="out of range"):
+                machine.pair_costs(src, dst)

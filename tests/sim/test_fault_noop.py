@@ -2,9 +2,11 @@
 
 A :class:`FaultPlan` whose specs all carry unit factors / zero
 probabilities / zero delays routes every message through the fault-aware
-transmit path (``Fabric._transmit_faulty`` + ``Fabric._claim``) — so this
-grid also pins that path's arithmetic to the inlined fast path, bit for
-bit, against the archived seed-engine golden times.
+transmit path (``Fabric._transmit_faulty``).  The pristine path ends in the
+same claim sequence (``Fabric._claim``), so this grid pins the fault
+path's own handling — unit-factor perturbation, zero-probability drop
+checks, the no-op straggler, a single attempt per message — bit for bit
+against the archived seed-engine golden times.
 """
 
 import json

@@ -14,7 +14,8 @@ diverge:
 * the keyed plan cache replacing the old single-entry memo (alternating
   two machines must not evict each other's plans — the ``fastpath`` memo
   regression), one structure per (schedule, machine) priced once per
-  block size, plus LRU bounds and stats;
+  block size, plus LRU bounds and stats, and a two-machine grid that stays
+  exact under a cache evicting on every insert;
 * size-free plans: a block-unit schedule priced at any block size equals
   the Engine running it with every byte count scaled, and equals the
   schedule the algorithm builds in bytes at that size;
@@ -35,7 +36,6 @@ from repro.sim.fastpath import execute_schedule, multi_plan_for
 from repro.sim.plancache import (
     PLAN_CACHE,
     PlanCache,
-    machine_digest,
     plan_cache_stats,
     reset_plan_cache,
 )
@@ -397,14 +397,14 @@ class TestPlanCacheKeying:
         machine_a = _machine(nodes=2, rps=4)
         machine_b = _machine(nodes=4, rps=2)
         machine_c = _machine(nodes=2, rps=4)
-        assert machine_digest(machine_a) != machine_digest(machine_b)
+        assert machine_a.digest != machine_b.digest
         # structurally identical machines share plans
-        assert machine_digest(machine_a) == machine_digest(machine_c)
+        assert machine_a.digest == machine_c.digest
         tweaked = dataclasses.replace(
             machine_a,
             params=dataclasses.replace(machine_a.params, call_overhead=1e-3),
         )
-        assert machine_digest(tweaked) != machine_digest(machine_a)
+        assert tweaked.digest != machine_a.digest
 
 
 class TestPlanCacheBounds:
@@ -461,6 +461,74 @@ class TestPlanCacheBounds:
         assert PLAN_CACHE.hits > hits_before
         assert second.simulated_time == first.simulated_time
         assert second.events_processed == first.events_processed
+
+
+class TestEvictingPlanCache:
+    """A two-machine grid — the machines differ in one Hockney constant —
+    replayed through a plan cache that evicts on every insert, then through
+    a warm one, then cold again: every ``auto`` run must equal the DES bit
+    for bit, and the miss counts must show the machines never sharing an
+    entry."""
+
+    ALGORITHMS = (("naive", {}), ("common_neighbor", {"k": 4}))
+    SIZES = (64, 4096)
+
+    def test_grid_matches_des_under_eviction_warm_and_cold(self):
+        from repro.sim.plancache import DEFAULT_MAX_ENTRIES
+
+        base = _machine(nodes=2, rps=4)
+        machines = (base, dataclasses.replace(
+            base, params=dataclasses.replace(
+                base.params, nic_message_overhead=3.0e-7)))
+        assert machines[0].digest != machines[1].digest
+        topology = TopologySpec("random", 16, density=0.4, seed=2).build()
+        algorithms = {(name, i): get_algorithm(name, **kwargs)
+                      for name, kwargs in self.ALGORITHMS
+                      for i in range(len(machines))}
+        # Machine innermost: each cell follows the same (algorithm, size)
+        # on the other machine, so a shared entry would be a hit.
+        cells = [(name, m, i) for name, _ in self.ALGORITHMS
+                 for m in self.SIZES for i in range(len(machines))]
+        structures = len(algorithms)
+
+        def run(cell, mode):
+            name, m, i = cell
+            out = run_allgather(algorithms[name, i], topology, machines[i], m,
+                                options=RunOptions(sim_mode=mode))
+            return out.sim_path, (out.simulated_time, out.finish_times,
+                                  out.messages_sent, out.bytes_sent)
+
+        des = {}
+        for cell in cells:
+            path, des[cell] = run(cell, "des")
+            assert path == "des"
+
+        def replay():
+            for cell in cells:
+                assert run(cell, "auto") == ("fastpath", des[cell]), cell
+            return plan_cache_stats()
+
+        try:
+            reset_plan_cache(max_entries=1)
+            stats = replay()
+            # Only the previous cell's priced plan survives each cell, so
+            # every cell misses both its priced plan and its structure.
+            assert (stats["hits"], stats["misses"]) == (0, 2 * len(cells))
+            assert stats["evictions"] == 2 * len(cells) - 1
+
+            reset_plan_cache(max_entries=DEFAULT_MAX_ENTRIES)
+            cold = replay()
+            # One structure per (algorithm, machine), one priced plan per cell.
+            assert cold["misses"] == structures + len(cells)
+            assert cold["size"] == structures + len(cells)
+            warm = replay()
+            assert warm["misses"] == cold["misses"]
+            assert warm["hits"] == cold["hits"] + len(cells)
+
+            reset_plan_cache()
+            assert replay() == cold
+        finally:
+            reset_plan_cache(max_entries=DEFAULT_MAX_ENTRIES)
 
 
 BENCH_ALGORITHMS = [(info.name, dict(info.bench_kwargs))
