@@ -534,8 +534,9 @@ def cmd_bench(args) -> int:
         ex = report["execution"]
         cache_stats = ex.get("cache")
         print(f"{report['experiment']}: {ex['total']} specs, "
-              f"{ex['from_cache']} from cache, {ex['computed']} computed, "
-              f"workers={ex['workers']}, wall={wall:.1f}s")
+              f"{ex['from_cache']} from cache, {ex['computed']} computed "
+              f"in {ex['groups']} groups, workers={ex['workers']}, "
+              f"wall={wall:.1f}s")
         if cache_stats is None:
             print("cache: disabled")
             hit_rate = 0.0

@@ -100,11 +100,18 @@ class DistanceHalvingAlltoall:
         self.selection = selection
         self.stop_ranks = stop_ranks
         self.pattern: CommunicationPattern | None = None
-        self._key: tuple[int, int] | None = None
+        # The (topology, machine) the pattern was built for, held strongly
+        # and compared by identity, so a recycled id() can never alias them.
+        self._key: tuple[DistGraphTopology, Machine] | None = None
 
     def setup(self, topology: DistGraphTopology, machine: Machine) -> None:
-        key = (id(topology), id(machine))
-        if self._key == key and self.pattern is not None:
+        key = self._key
+        if (
+            key is not None
+            and key[0] is topology
+            and key[1] is machine
+            and self.pattern is not None
+        ):
             return
         self.pattern = build_patterns(
             topology,
@@ -113,7 +120,7 @@ class DistanceHalvingAlltoall:
             stop_ranks=self.stop_ranks,
             record_pairs=True,
         )
-        self._key = key
+        self._key = (topology, machine)
 
     def make_program(self, rank, topology, psize, payload_fn, results):
         assert self.pattern is not None

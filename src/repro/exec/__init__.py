@@ -27,7 +27,13 @@ from repro.exec.serialize import (
     run_from_dict,
     run_to_dict,
 )
-from repro.exec.spec import TOPOLOGY_KINDS, MachineSpec, RunSpec, TopologySpec
+from repro.exec.spec import (
+    TOPOLOGY_KINDS,
+    MachineSpec,
+    RunSpec,
+    SpecGroup,
+    TopologySpec,
+)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -40,6 +46,7 @@ __all__ = [
     "ResultCache",
     "RunOptions",
     "RunSpec",
+    "SpecGroup",
     "SpecOutcome",
     "SweepResult",
     "TopologySpec",

@@ -9,22 +9,37 @@ byte-identical (modulo wall-clock fields) to a serial one.
 
 Guarantees:
 
-* **Determinism** — each spec materializes its own topology/machine from
-  seeds and runs on the deterministic engine, so ``workers=1`` and
-  ``workers=N`` produce bit-identical ``simulated_time`` per spec.
+* **Determinism** — specs run in *groups*: the specs of one sweep that
+  share (algorithm, algorithm kwargs, topology, machine) — their
+  :meth:`~repro.exec.spec.RunSpec.group_key` — are run on one
+  :class:`~repro.exec.spec.SpecGroup`, which builds the topology, the
+  machine and the set-up algorithm once from seeds and runs every spec
+  of the group on them.  A group's results equal independent
+  :meth:`RunSpec.run` calls bit for bit (wall-clock fields aside), so
+  ``workers=1`` and ``workers=N`` produce bit-identical
+  ``simulated_time`` per spec.  A group's objects are released when it
+  ends: nothing is memoized across groups or across ``execute`` calls.
 * **Failure tolerance** — a spec that raises (watchdog, deadlock, failed
   verification, bad parameters) becomes an error outcome; the sweep
   continues and the caller decides whether errors are fatal
   (:meth:`SweepResult.raise_errors`) or data (the resilience study).
+  A spec that raises fails alone; the rest of its group still runs.
   A worker process that *dies* mid-spec (OOM kill, segfault, chaos
   injection) is distinguished from a spec that raises: every spec
-  stranded by the broken pool is re-run on a fresh single-worker pool
-  to identify the culprit, and only a spec that kills its worker on
-  every attempt (:data:`MAX_ATTEMPTS`) is quarantined with a
-  ``WorkerCrashed`` error.
+  stranded by the broken pool — the dead task's whole group included —
+  is re-run on its own in a fresh single-worker pool to identify the
+  culprit, and only a spec that kills its worker on every attempt
+  (:data:`MAX_ATTEMPTS`) is quarantined with a ``WorkerCrashed``
+  error.
 * **Resumability** — completed specs are stored in the cache and appended
   to an optional JSONL manifest as they finish; re-running an interrupted
   sweep replays the finished prefix from cache at file-read speed.
+
+The serial path runs the groups in order of first appearance.  The pool
+path submits one task per group, and splits groups into contiguous
+chunks only when there are fewer groups than workers, so the pool stays
+full.  Either way outcomes land in spec order and ``progress`` fires once
+per spec.
 
 Workers receive pickled specs and return plain dicts (slim runs), never
 live simulator objects; the parent process reconstructs
@@ -41,12 +56,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.collectives.runner import AllgatherRun
 from repro.exec.cache import ResultCache
 from repro.exec.serialize import run_from_dict, run_to_dict
-from repro.exec.spec import RunSpec
+from repro.exec.spec import RunSpec, SpecGroup
 from repro.sim.plancache import plan_cache_stats
 
 #: Outcome sources, in the order a resumed sweep prefers them.
@@ -144,20 +159,53 @@ def _chaos_kill(spec: RunSpec) -> None:
         os._exit(137)
 
 
-def _execute_spec(spec: RunSpec) -> tuple[dict | None, str | None]:
-    """Run one spec; exceptions become ``TypeName: message`` strings."""
-    try:
-        _chaos_kill(spec)
-        run = spec.run()
-        return run_to_dict(run.slim()), None
-    except BaseException as exc:  # noqa: BLE001 - sweeps must survive workers
-        return None, f"{type(exc).__name__}: {exc}"
+def _execute_group(
+    items: Sequence[tuple[int, RunSpec]],
+) -> Iterator[tuple[int, dict | None, str | None]]:
+    """Run one group's ``(index, spec)`` items in order on one
+    :class:`SpecGroup`.
+
+    Yields ``(index, payload, error)`` per spec as it completes;
+    exceptions become ``TypeName: message`` strings, so a failing spec
+    fails alone.  The group's objects are released when the generator
+    finishes.
+    """
+    group = SpecGroup()
+    for index, spec in items:
+        try:
+            _chaos_kill(spec)
+            payload, error = run_to_dict(group.run(spec).slim()), None
+        except BaseException as exc:  # noqa: BLE001 - sweeps must survive workers
+            payload, error = None, f"{type(exc).__name__}: {exc}"
+        yield index, payload, error
 
 
-def _worker(item: tuple[int, RunSpec]) -> tuple[int, dict | None, str | None]:
-    index, spec = item
-    payload, error = _execute_spec(spec)
-    return index, payload, error
+def _worker(
+    items: list[tuple[int, RunSpec]],
+) -> list[tuple[int, dict | None, str | None]]:
+    return list(_execute_group(items))
+
+
+def _groups(specs: Sequence[RunSpec], indices: Sequence[int]) -> list[list[int]]:
+    """``indices`` grouped by :meth:`RunSpec.group_key`, in order of first
+    appearance; every ``algorithm="auto"`` spec is a group of its own."""
+    groups: dict[tuple, list[int]] = {}
+    for index in indices:
+        key = specs[index].group_key() or ("auto", index)
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def _split(groups: list[list[int]], width: int) -> list[list[int]]:
+    """Halve the largest task into contiguous chunks until there are
+    ``width`` tasks (needs at least ``width`` specs in all)."""
+    tasks = list(groups)
+    while len(tasks) < width:
+        big = max(range(len(tasks)), key=lambda t: len(tasks[t]))
+        task = tasks[big]
+        mid = (len(task) + 1) // 2
+        tasks[big:big + 1] = [task[:mid], task[mid:]]
+    return tasks
 
 
 def default_workers() -> int:
@@ -277,36 +325,44 @@ def execute(
         finish(index, SpecOutcome(specs[index], run, source="computed",
                                   attempts=attempts))
 
+    groups = _groups(specs, pending)
     if workers <= 1 or len(pending) <= 1:
-        for i in pending:
-            payload, error = _execute_spec(specs[i])
-            land(i, payload, error)
+        for group in groups:
+            for index, payload, error in _execute_group(
+                [(i, specs[i]) for i in group]
+            ):
+                land(index, payload, error)
     else:
         pool_size = min(workers, len(pending))
+        groups = _split(groups, pool_size)
         crashed: list[int] = []
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = {
-                pool.submit(_worker, (i, specs[i])): i for i in pending
+                pool.submit(_worker, [(i, specs[i]) for i in group]): group
+                for group in groups
             }
             remaining = set(futures)
             while remaining:
                 finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 broken: list[int] = []
                 for future in finished:
-                    index = futures[future]
+                    group = futures[future]
                     try:
-                        _, payload, error = future.result()
+                        results = future.result()
                     except BaseException:  # noqa: BLE001 - dead worker
-                        broken.append(index)
+                        broken.extend(group)
                         continue
-                    land(index, payload, error)
+                    for index, payload, error in results:
+                        land(index, payload, error)
                 if broken:
                     # A dying worker breaks the whole pool: every
                     # outstanding future fails with BrokenProcessPool,
                     # which says nothing about *which* spec killed it.
-                    # Stop draining and re-run the stragglers in
-                    # isolation to find the culprit.
-                    crashed = sorted(set(broken) | {futures[f] for f in remaining})
+                    # Stop draining and re-run the stragglers one by one
+                    # in isolation to find the culprit.
+                    crashed = sorted(
+                        set(broken).union(*(futures[f] for f in remaining))
+                    )
                     break
         for index in crashed:
             attempts = 1  # the shared-pool attempt that died
@@ -317,8 +373,8 @@ def execute(
                 attempts += 1
                 with ProcessPoolExecutor(max_workers=1) as solo:
                     try:
-                        _, payload, error = solo.submit(
-                            _worker, (index, specs[index])
+                        [(_, payload, error)] = solo.submit(
+                            _worker, [(index, specs[index])]
                         ).result()
                         break
                     except BaseException as exc:  # noqa: BLE001
@@ -337,6 +393,8 @@ def execute(
         "computed": sum(1 for o in outcomes if o.source == "computed"),
         "failed": failed,
         "retried": sum(1 for o in outcomes if o is not None and o.attempts > 1),
+        # Groups (chunks, on the pool path) computed; cache hits form none.
+        "groups": len(groups),
         "workers": max(1, workers),
         "resumed_manifest_entries": resumed,
         "wall_seconds": time.perf_counter() - wall_start,

@@ -10,9 +10,16 @@ digest always denotes the same simulation, and the engine's determinism
 contract guarantees the same ``simulated_time``.
 
 The split mirrors the rest of the codebase: a *spec* is cheap immutable
-data; :meth:`RunSpec.build` / :meth:`RunSpec.run` materialize the heavy
-objects (topology, machine, algorithm pattern) on whichever process
-executes the spec.
+data; :meth:`RunSpec.build` materializes the heavy objects (topology,
+machine, algorithm pattern) on whichever process executes the spec.
+
+Specs with the same :meth:`RunSpec.group_key` (algorithm, its kwargs,
+topology and machine) build equal objects, so a :class:`SpecGroup` builds
+them once and runs every spec of the group on them: the algorithm's
+pattern (its ``setup()``) and its block-unit schedule then serve every
+message size and run mode of the group, as one ``MPI_Dist_graph_create``
+serves every later collective call.  :meth:`RunSpec.run` is the one-spec
+group.  A group's objects live exactly as long as its :class:`SpecGroup`.
 """
 
 from __future__ import annotations
@@ -313,6 +320,19 @@ class RunSpec:
         )
 
     # ------------------------------------------------------------ execution
+    def group_key(self) -> tuple | None:
+        """What the objects :meth:`build` returns depend on, or ``None``.
+
+        Specs with equal keys build equal (algorithm, topology, machine)
+        triples and can share one :class:`SpecGroup`.  An
+        ``algorithm="auto"`` spec picks its instance per message size, so
+        it has no key and always runs alone.
+        """
+        if self.algorithm == "auto":
+            return None
+        return (self.algorithm, self.algorithm_kwargs, self.topology,
+                self.machine)
+
     def build(self) -> "tuple[NeighborhoodAllgatherAlgorithm, DistGraphTopology, Machine]":
         """Materialize (algorithm instance, topology, machine)."""
         from repro.collectives.base import get_algorithm
@@ -327,26 +347,55 @@ class RunSpec:
 
     def run(self) -> "AllgatherRun":
         """Simulate this spec (deterministic; safe in worker processes)."""
+        return SpecGroup().run(self)
+
+
+class SpecGroup:
+    """Runs specs of one :meth:`RunSpec.group_key` on one set of objects.
+
+    The first :meth:`run` builds the spec's (algorithm, topology, machine);
+    every later spec of the same key reuses them, so the instance's own
+    ``setup()`` and ``schedule_for`` memos answer for every message size
+    and run mode.  A run that raises leaves the built objects intact for
+    the next spec (setup is memoized before any run starts, and runs never
+    write to the plan).  The objects are released with the group.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+        self._built: tuple | None = None
+
+    def run(self, spec: RunSpec) -> "AllgatherRun":
+        """Simulate ``spec``, building the group's objects on first use."""
         from repro.collectives.runner import run_allgather
 
-        msg = list(self.msg_size) if isinstance(self.msg_size, tuple) else self.msg_size
-        if self.algorithm == "auto":
+        msg = list(spec.msg_size) if isinstance(spec.msg_size, tuple) else spec.msg_size
+        if spec.algorithm == "auto":
             # The digest pins the table this spec was built under; resolving
             # against any other table would silently break the
             # content-address -> result contract, so fail loudly instead.
             from repro.select.table import active_table_version
 
             active = active_table_version()
-            if active != self.selector_table:
+            if active != spec.selector_table:
                 raise RuntimeError(
                     f"spec was built under decision table "
-                    f"{self.selector_table!r} but the active table is "
+                    f"{spec.selector_table!r} but the active table is "
                     f"{active!r}; point REPRO_SELECT_TABLE (or use_table) "
                     "at the spec's table to replay it"
                 )
-            return run_allgather("auto", self.topology.build(),
-                                 self.machine.build(), msg,
-                                 options=self.options)
-        algorithm, topology, machine = self.build()
+            return run_allgather("auto", spec.topology.build(),
+                                 spec.machine.build(), msg,
+                                 options=spec.options)
+        key = spec.group_key()
+        if self._built is None:
+            self._built = spec.build()
+            self._key = key
+        elif key != self._key:
+            raise ValueError(
+                f"{spec.label()} does not belong to this group: its "
+                "algorithm, kwargs, topology or machine differ"
+            )
+        algorithm, topology, machine = self._built
         return run_allgather(algorithm, topology, machine, msg,
-                             options=self.options)
+                             options=spec.options)

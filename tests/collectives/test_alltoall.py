@@ -103,6 +103,24 @@ class TestCosts:
         run_alltoall(alg, small_topology, small_machine, 4096)
         assert alg.pattern is pattern
 
+    def test_new_topology_gets_new_pattern(self, small_machine, small_topology):
+        # The memo keys on the objects themselves, held strongly: a second
+        # topology on the same instance is never served the first's pattern.
+        alg = DistanceHalvingAlltoall()
+        alg.setup(small_topology, small_machine)
+        first = alg.pattern
+        assert alg._key[0] is small_topology and alg._key[1] is small_machine
+        other = erdos_renyi_topology(small_machine.spec.n_ranks, 0.5, seed=97)
+        run = run_alltoall(alg, other, small_machine, 64)
+        verify_alltoall(other, run)
+        assert alg.pattern is not first
+        assert alg._key[0] is other and alg._key[1] is small_machine
+        # An equal but distinct machine object is a different key, too.
+        twin = Machine(small_machine.spec, small_machine.network,
+                       small_machine.params)
+        alg.setup(other, twin)
+        assert alg._key[1] is twin
+
 
 class TestCommonNeighborAlltoall:
     @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -16,6 +16,7 @@ import pytest
 
 from repro.exec.orchestrator import CHAOS_ENV, MAX_ATTEMPTS, execute
 from repro.exec.spec import MachineSpec, RunSpec, TopologySpec
+from tests.exec.test_orchestrator import report
 
 
 def sweep_specs():
@@ -84,3 +85,45 @@ class TestWorkerRetry:
         sweep.raise_errors()
         assert all(o.attempts == 1 for o in sweep.outcomes)
         assert sweep.stats["retried"] == 0
+
+
+class TestRetryInsideGroup:
+    """The three specs of ``sweep_specs`` form one group; on two workers it
+    runs as two chunks, ``[0, 1]`` and ``[2]``, so a death on the middle
+    spec takes the already-finished first spec of its chunk down with it.
+    Every stranded spec is retried on its own."""
+
+    def test_kill_on_middle_spec_of_a_group(self, tmp_path, monkeypatch):
+        specs = sweep_specs()
+        assert len({spec.group_key() for spec in specs}) == 1
+        serial = execute(specs, workers=1).raise_errors()
+        monkeypatch.setenv(CHAOS_ENV, str(tmp_path))
+        (tmp_path / f"kill-{specs[1].digest()[:12]}").write_text("")
+
+        sweep = execute(specs, workers=2).raise_errors()
+        assert sweep.stats["groups"] == 2
+        assert report(sweep, strip_wall=True) == report(serial, strip_wall=True)
+        # The victim died once (its marker was claimed) and its retry ran
+        # alone; its chunk-mate was stranded and retried the same way.
+        assert (tmp_path / f"killed-{specs[1].digest()[:12]}").exists()
+        assert sweep.outcomes[1].attempts == 2
+        assert sweep.outcomes[0].attempts == 2
+        assert sweep.outcomes[2].attempts in (1, 2)
+        assert sweep.stats["retried"] == sum(
+            o.attempts > 1 for o in sweep.outcomes)
+
+    def test_poison_quarantines_only_the_poisoned_spec(self, tmp_path,
+                                                       monkeypatch):
+        specs = sweep_specs()
+        serial = execute(specs, workers=1).raise_errors()
+        monkeypatch.setenv(CHAOS_ENV, str(tmp_path))
+        (tmp_path / f"poison-{specs[1].digest()[:12]}").write_text("")
+
+        sweep = execute(specs, workers=2)
+        assert [o.ok for o in sweep.outcomes] == [True, False, True]
+        bad = sweep.outcomes[1]
+        assert bad.error.startswith("WorkerCrashed")
+        assert bad.attempts == MAX_ATTEMPTS
+        assert sweep.stats["failed"] == 1
+        assert [sweep.runs[0].simulated_time, sweep.runs[2].simulated_time] == [
+            serial.runs[0].simulated_time, serial.runs[2].simulated_time]

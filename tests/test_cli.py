@@ -122,7 +122,8 @@ class TestExecFlags:
         cache = tmp_path / "c1"
         assert main(["bench", "--sweep-smoke", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert f"{SMOKE_SPECS} computed" in out and "hit_rate=0.00" in out
+        assert f"{SMOKE_SPECS} computed in " in out and "hit_rate=0.00" in out
+        assert " groups, workers=" in out
 
     def test_sweep_smoke_warm_run_passes_hit_rate_gate(self, tmp_path, capsys):
         cache = tmp_path / "c2"
@@ -132,6 +133,7 @@ class TestExecFlags:
                      "--workers", "2", "--min-cache-hit-rate", "0.9"]) == 0
         out = capsys.readouterr().out
         assert f"{SMOKE_SPECS} from cache" in out and "hit_rate=1.00" in out
+        assert "0 computed in 0 groups" in out
 
     def test_sweep_smoke_cold_run_fails_hit_rate_gate(self, tmp_path, capsys):
         cache = tmp_path / "c3"
