@@ -31,7 +31,6 @@ from repro.exec.spec import (
     TOPOLOGY_KINDS,
     MachineSpec,
     RunSpec,
-    SpecGroup,
     TopologySpec,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "ResultCache",
     "RunOptions",
     "RunSpec",
-    "SpecGroup",
     "SpecOutcome",
     "SweepResult",
     "TopologySpec",

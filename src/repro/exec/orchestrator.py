@@ -11,10 +11,9 @@ Guarantees:
 
 * **Determinism** — specs run in *groups*: the specs of one sweep that
   share (algorithm, algorithm kwargs, topology, machine) — their
-  :meth:`~repro.exec.spec.RunSpec.group_key` — are run on one
-  :class:`~repro.exec.spec.SpecGroup`, which builds the topology, the
-  machine and the set-up algorithm once from seeds and runs every spec
-  of the group on them.  A group's results equal independent
+  :meth:`~repro.exec.spec.RunSpec.group_key` — build the topology, the
+  machine and the set-up algorithm once from seeds and run every spec of
+  the group on them.  A group's results equal independent
   :meth:`RunSpec.run` calls bit for bit (wall-clock fields aside), so
   ``workers=1`` and ``workers=N`` produce bit-identical
   ``simulated_time`` per spec.  A group's objects are released when it
@@ -26,14 +25,16 @@ Guarantees:
   A spec that raises fails alone; the rest of its group still runs.
   A worker process that *dies* mid-spec (OOM kill, segfault, chaos
   injection) is distinguished from a spec that raises: every spec
-  stranded by the broken pool — the dead task's whole group included —
+  stranded by the broken pool (started or not, but not yet sent back)
   is re-run on its own in a fresh single-worker pool to identify the
   culprit, and only a spec that kills its worker on every attempt
   (:data:`MAX_ATTEMPTS`) is quarantined with a ``WorkerCrashed``
   error.
 * **Resumability** — completed specs are stored in the cache and appended
-  to an optional JSONL manifest as they finish; re-running an interrupted
-  sweep replays the finished prefix from cache at file-read speed.
+  to an optional JSONL manifest as they finish — on a pool too, where a
+  worker sends each spec's result back the moment it completes, not at
+  the end of its group; re-running an interrupted sweep replays the
+  finished prefix from cache at file-read speed.
 
 The serial path runs the groups in order of first appearance.  The pool
 path submits one task per group, and splits groups into contiguous
@@ -51,9 +52,10 @@ read from cache) are literally the same bytes.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -61,7 +63,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.collectives.runner import AllgatherRun
 from repro.exec.cache import ResultCache
 from repro.exec.serialize import run_from_dict, run_to_dict
-from repro.exec.spec import RunSpec, SpecGroup
+from repro.exec.spec import RunSpec, _run_group
 from repro.sim.plancache import plan_cache_stats
 
 #: Outcome sources, in the order a resumed sweep prefers them.
@@ -78,6 +80,10 @@ MAX_ATTEMPTS = 3
 #: Base backoff (seconds) slept before re-running a crashed spec, scaled
 #: by the attempt number already consumed.
 RETRY_BACKOFF = 0.05
+
+#: Seconds the pool path waits for a streamed result before it checks
+#: whether every task has ended.
+POLL_SECONDS = 0.01
 
 #: Environment variable naming the chaos-marker directory (see
 #: :func:`_chaos_kill`); unset in normal operation.
@@ -162,28 +168,45 @@ def _chaos_kill(spec: RunSpec) -> None:
 def _execute_group(
     items: Sequence[tuple[int, RunSpec]],
 ) -> Iterator[tuple[int, dict | None, str | None]]:
-    """Run one group's ``(index, spec)`` items in order on one
-    :class:`SpecGroup`.
+    """Run one group's ``(index, spec)`` items in order as one group.
 
     Yields ``(index, payload, error)`` per spec as it completes;
     exceptions become ``TypeName: message`` strings, so a failing spec
     fails alone.  The group's objects are released when the generator
     finishes.
     """
-    group = SpecGroup()
+    runs = _run_group(spec for _, spec in items)
     for index, spec in items:
+        _chaos_kill(spec)
         try:
-            _chaos_kill(spec)
-            payload, error = run_to_dict(group.run(spec).slim()), None
+            result = next(runs)
+            if isinstance(result, BaseException):
+                raise result
+            payload, error = run_to_dict(result.slim()), None
         except BaseException as exc:  # noqa: BLE001 - sweeps must survive workers
             payload, error = None, f"{type(exc).__name__}: {exc}"
         yield index, payload, error
 
 
-def _worker(
-    items: list[tuple[int, RunSpec]],
-) -> list[tuple[int, dict | None, str | None]]:
-    return list(_execute_group(items))
+#: The pool worker's end of the result channel: ``(connection, lock)``,
+#: set by :func:`_connect` when the worker process starts.
+_CHANNEL: Any = None
+
+
+def _connect(channel: Any) -> None:
+    """Pool initializer: keep the channel this worker sends results on."""
+    global _CHANNEL
+    _CHANNEL = channel
+
+
+def _worker(items: list[tuple[int, RunSpec]]) -> None:
+    """Pool task: run one group (chunk), sending each spec's
+    ``(index, payload, error)`` to the parent as it completes, so a later
+    death in the task strands only the specs not yet sent."""
+    connection, lock = _CHANNEL
+    for outcome in _execute_group(items):
+        with lock:
+            connection.send(outcome)
 
 
 def _groups(specs: Sequence[RunSpec], indices: Sequence[int]) -> list[list[int]]:
@@ -335,55 +358,64 @@ def execute(
     else:
         pool_size = min(workers, len(pending))
         groups = _split(groups, pool_size)
-        crashed: list[int] = []
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {
-                pool.submit(_worker, [(i, specs[i]) for i in group]): group
-                for group in groups
-            }
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                broken: list[int] = []
-                for future in finished:
-                    group = futures[future]
-                    try:
-                        results = future.result()
-                    except BaseException:  # noqa: BLE001 - dead worker
-                        broken.extend(group)
-                        continue
-                    for index, payload, error in results:
-                        land(index, payload, error)
-                if broken:
-                    # A dying worker breaks the whole pool: every
-                    # outstanding future fails with BrokenProcessPool,
-                    # which says nothing about *which* spec killed it.
-                    # Stop draining and re-run the stragglers one by one
-                    # in isolation to find the culprit.
-                    crashed = sorted(
-                        set(broken).union(*(futures[f] for f in remaining))
-                    )
-                    break
-        for index in crashed:
+        landed: set[int] = set()
+
+        def drain(reader: Any, wait_seconds: float = 0.0,
+                  attempts: int = 1) -> None:
+            """Land every result sent so far; wait up to ``wait_seconds``
+            for the first one."""
+            while reader.poll(wait_seconds):
+                try:
+                    index, payload, error = reader.recv()
+                except EOFError:
+                    return  # every worker has exited (a torn send reads so too)
+                wait_seconds = 0.0
+                landed.add(index)
+                land(index, payload, error, attempts=attempts)
+
+        def run_tasks(width: int, tasks: list[list[int]],
+                      attempts: int = 1) -> list:
+            """Run ``tasks`` on a fresh pool, landing each spec's result as
+            it arrives; returns the tasks' futures."""
+            # One pipe per pool; workers send under one lock, between two
+            # specs.  The parent drops its write end once the workers hold
+            # theirs, so the pipe reads EOF exactly when they have all
+            # exited, even if one died mid-send.
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            with reader, ProcessPoolExecutor(
+                max_workers=width, initializer=_connect,
+                initargs=((writer, multiprocessing.Lock()),),
+            ) as pool:
+                futures = [
+                    pool.submit(_worker, [(i, specs[i]) for i in task])
+                    for task in tasks
+                ]
+                writer.close()
+                while not all(future.done() for future in futures):
+                    drain(reader, POLL_SECONDS, attempts)
+                pool.shutdown()
+                drain(reader, attempts=attempts)
+            return futures
+
+        run_tasks(pool_size, groups)
+        # A dying worker breaks the whole pool: every outstanding future
+        # fails with BrokenProcessPool, which says nothing about *which*
+        # spec killed it.  Re-run every spec not sent back one by one in
+        # isolation to find the culprit.
+        for index in [i for i in pending if i not in landed]:
             attempts = 1  # the shared-pool attempt that died
-            payload = None
-            error: str | None = "WorkerCrashed: worker died before returning"
-            while attempts < MAX_ATTEMPTS:
+            last = "BrokenProcessPool"
+            while index not in landed:
+                if attempts == MAX_ATTEMPTS:
+                    land(index, None,
+                         f"WorkerCrashed: worker died on all {attempts} "
+                         f"attempts (last: {last})", attempts=attempts)
+                    break
                 time.sleep(RETRY_BACKOFF * attempts)
                 attempts += 1
-                with ProcessPoolExecutor(max_workers=1) as solo:
-                    try:
-                        [(_, payload, error)] = solo.submit(
-                            _worker, [(index, specs[index])]
-                        ).result()
-                        break
-                    except BaseException as exc:  # noqa: BLE001
-                        payload = None
-                        error = (
-                            f"WorkerCrashed: worker died on all {attempts} "
-                            f"attempts (last: {type(exc).__name__})"
-                        )
-            land(index, payload, error, attempts=attempts)
+                [future] = run_tasks(1, [[index]], attempts)
+                if future.exception() is not None:
+                    last = type(future.exception()).__name__
 
     manifest.close()
     failed = sum(1 for o in outcomes if o is not None and not o.ok)

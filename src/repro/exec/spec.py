@@ -14,12 +14,13 @@ data; :meth:`RunSpec.build` materializes the heavy objects (topology,
 machine, algorithm pattern) on whichever process executes the spec.
 
 Specs with the same :meth:`RunSpec.group_key` (algorithm, its kwargs,
-topology and machine) build equal objects, so a :class:`SpecGroup` builds
-them once and runs every spec of the group on them: the algorithm's
-pattern (its ``setup()``) and its block-unit schedule then serve every
-message size and run mode of the group, as one ``MPI_Dist_graph_create``
-serves every later collective call.  :meth:`RunSpec.run` is the one-spec
-group.  A group's objects live exactly as long as its :class:`SpecGroup`.
+topology and machine, in canonical form) build equal objects, so
+:func:`_run_group` builds them once and runs every spec of the group on
+them: the algorithm's pattern (its ``setup()``) and its block-unit
+schedule then serve every message size and run mode of the group, as one
+``MPI_Dist_graph_create`` serves every later collective call.
+:meth:`RunSpec.run` is the one-spec group.  A group's objects live exactly
+as long as its generator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.collectives.runner import DEFAULT_OPTIONS, RunOptions
 from repro.utils.sizes import format_size, parse_size
@@ -320,18 +321,22 @@ class RunSpec:
         )
 
     # ------------------------------------------------------------ execution
-    def group_key(self) -> tuple | None:
+    def group_key(self) -> str | None:
         """What the objects :meth:`build` returns depend on, or ``None``.
 
-        Specs with equal keys build equal (algorithm, topology, machine)
-        triples and can share one :class:`SpecGroup`.  An
+        The canonical JSON of (algorithm, kwargs, topology, machine) — the
+        digest's own form, so ``4`` and ``4.0`` (or ``1`` and ``True``)
+        never share a key.  Specs with equal keys build equal (algorithm,
+        topology, machine) triples and can run as one group.  An
         ``algorithm="auto"`` spec picks its instance per message size, so
         it has no key and always runs alone.
         """
         if self.algorithm == "auto":
             return None
-        return (self.algorithm, self.algorithm_kwargs, self.topology,
-                self.machine)
+        data = self.canonical()
+        for per_spec in ("msg_size", "options"):
+            del data[per_spec]
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     def build(self) -> "tuple[NeighborhoodAllgatherAlgorithm, DistGraphTopology, Machine]":
         """Materialize (algorithm instance, topology, machine)."""
@@ -347,55 +352,56 @@ class RunSpec:
 
     def run(self) -> "AllgatherRun":
         """Simulate this spec (deterministic; safe in worker processes)."""
-        return SpecGroup().run(self)
+        result = next(_run_group([self]))
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
 
-class SpecGroup:
-    """Runs specs of one :meth:`RunSpec.group_key` on one set of objects.
+def _run_group(
+    specs: Iterable[RunSpec],
+) -> Iterator[AllgatherRun | BaseException]:
+    """Run specs of one :meth:`RunSpec.group_key` on one set of objects.
 
-    The first :meth:`run` builds the spec's (algorithm, topology, machine);
-    every later spec of the same key reuses them, so the instance's own
-    ``setup()`` and ``schedule_for`` memos answer for every message size
-    and run mode.  A run that raises leaves the built objects intact for
-    the next spec (setup is memoized before any run starts, and runs never
-    write to the plan).  The objects are released with the group.
+    Yields, per spec and in order, its run or the exception it raised, so a
+    failing spec fails alone.  The first spec to need them builds the
+    (algorithm, topology, machine); every later spec reuses them, so the
+    instance's own ``setup()`` and ``schedule_for`` memos answer for every
+    message size and run mode.  A run that raises leaves the objects intact
+    for the next spec (setup is memoized before any run starts, and runs
+    never write to the plan).  Specs are run lazily, one per ``next()``;
+    the objects are released with the generator.  An ``"auto"`` spec
+    builds fresh objects of its own.
     """
+    from repro.collectives.runner import run_allgather
 
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._built: tuple | None = None
-
-    def run(self, spec: RunSpec) -> "AllgatherRun":
-        """Simulate ``spec``, building the group's objects on first use."""
-        from repro.collectives.runner import run_allgather
-
+    built = None
+    for spec in specs:
         msg = list(spec.msg_size) if isinstance(spec.msg_size, tuple) else spec.msg_size
-        if spec.algorithm == "auto":
-            # The digest pins the table this spec was built under; resolving
-            # against any other table would silently break the
-            # content-address -> result contract, so fail loudly instead.
-            from repro.select.table import active_table_version
+        try:
+            if spec.algorithm == "auto":
+                # The digest pins the table this spec was built under;
+                # resolving against any other table would silently break
+                # the content-address -> result contract, so fail loudly.
+                from repro.select.table import active_table_version
 
-            active = active_table_version()
-            if active != spec.selector_table:
-                raise RuntimeError(
-                    f"spec was built under decision table "
-                    f"{spec.selector_table!r} but the active table is "
-                    f"{active!r}; point REPRO_SELECT_TABLE (or use_table) "
-                    "at the spec's table to replay it"
-                )
-            return run_allgather("auto", spec.topology.build(),
-                                 spec.machine.build(), msg,
-                                 options=spec.options)
-        key = spec.group_key()
-        if self._built is None:
-            self._built = spec.build()
-            self._key = key
-        elif key != self._key:
-            raise ValueError(
-                f"{spec.label()} does not belong to this group: its "
-                "algorithm, kwargs, topology or machine differ"
-            )
-        algorithm, topology, machine = self._built
-        return run_allgather(algorithm, topology, machine, msg,
-                             options=spec.options)
+                active = active_table_version()
+                if active != spec.selector_table:
+                    raise RuntimeError(
+                        f"spec was built under decision table "
+                        f"{spec.selector_table!r} but the active table is "
+                        f"{active!r}; point REPRO_SELECT_TABLE (or use_table) "
+                        "at the spec's table to replay it"
+                    )
+                run = run_allgather("auto", spec.topology.build(),
+                                    spec.machine.build(), msg,
+                                    options=spec.options)
+            else:
+                if built is None:
+                    built = spec.build()
+                run = run_allgather(*built, msg, options=spec.options)
+        except BaseException as exc:  # noqa: BLE001 - one spec fails alone
+            yield exc
+        else:
+            yield run
+

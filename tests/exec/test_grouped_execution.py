@@ -21,11 +21,11 @@ from repro.exec import (
     ResultCache,
     RunOptions,
     RunSpec,
-    SpecGroup,
     TopologySpec,
     execute,
 )
 from repro.exec.orchestrator import _split
+from repro.exec.spec import _run_group
 from repro.sim.faults import resilience_profiles
 from tests.exec.test_orchestrator import report
 
@@ -172,6 +172,29 @@ class TestBuildOncePerGroup:
         assert build_counts == {"spec": 8, "setup": 8}
         assert rows(sweep.runs) == independent(specs)
 
+    def test_keys_follow_the_canonical_form(self):
+        # 4 and 4.0 (or 1 and True) are equal in Python but not in the
+        # digest: such specs build different objects and never share a
+        # group.  k=4.0 cannot build a common-neighbor instance at all.
+        seed_true = TopologySpec("random", N, density=0.4, seed=True)
+        seed_one = TopologySpec("random", N, density=0.4, seed=1)
+        assert RunSpec("naive", seed_true, MACHINE, 64).group_key() != (
+            RunSpec("naive", seed_one, MACHINE, 64).group_key())
+        specs = [
+            RunSpec("common_neighbor", TOPOLOGY, MACHINE, size,
+                    algorithm_kwargs={"k": k})
+            for k in (4, 4.0)
+            for size in (64, 4096)
+        ]
+        sweep = execute(specs)
+        assert sweep.stats["groups"] == n_groups(specs) == 2
+        assert [o.ok for o in sweep.outcomes] == [True, True, False, False]
+        for outcome, spec in zip(sweep.outcomes[2:], specs[2:]):
+            with pytest.raises(TypeError) as raised:
+                spec.run()
+            assert outcome.error == f"TypeError: {raised.value}"
+        assert rows(sweep.runs[:2]) == independent(specs[:2])
+
     def test_cache_hits_form_no_group(self, tmp_path):
         specs = matrix(modes=("clean",), sizes=(64,))
         cache = ResultCache(cache_dir=tmp_path)
@@ -182,19 +205,9 @@ class TestBuildOncePerGroup:
 
     def test_run_is_the_one_spec_group(self, build_counts):
         spec = matrix(modes=("clean",), sizes=(64,))[0]
-        assert rows([spec.run().slim()]) == rows(
-            [SpecGroup().run(spec).slim()])
+        [grouped] = _run_group([spec])
+        assert rows([spec.run().slim()]) == rows([grouped.slim()])
         assert build_counts == {"spec": 2, "setup": 2}
-
-    def test_group_rejects_a_foreign_spec(self):
-        first, *_ = matrix(modes=("clean",), sizes=(64,))
-        other = RunSpec(first.algorithm, TopologySpec("random", N, density=0.2,
-                                                      seed=11),
-                        MACHINE, 64, algorithm_kwargs=first.algorithm_kwargs)
-        group = SpecGroup()
-        group.run(first)
-        with pytest.raises(ValueError, match="does not belong"):
-            group.run(other)
 
 
 class TestFailureIsolation:

@@ -89,9 +89,9 @@ class TestWorkerRetry:
 
 class TestRetryInsideGroup:
     """The three specs of ``sweep_specs`` form one group; on two workers it
-    runs as two chunks, ``[0, 1]`` and ``[2]``, so a death on the middle
-    spec takes the already-finished first spec of its chunk down with it.
-    Every stranded spec is retried on its own."""
+    runs as two chunks, ``[0, 1]`` and ``[2]``.  A worker sends each spec's
+    result back as it completes, so a death on the middle spec strands
+    only the specs not yet sent; each stranded spec is retried on its own."""
 
     def test_kill_on_middle_spec_of_a_group(self, tmp_path, monkeypatch):
         specs = sweep_specs()
@@ -99,18 +99,23 @@ class TestRetryInsideGroup:
         serial = execute(specs, workers=1).raise_errors()
         monkeypatch.setenv(CHAOS_ENV, str(tmp_path))
         (tmp_path / f"kill-{specs[1].digest()[:12]}").write_text("")
+        manifest = tmp_path / "manifest.jsonl"
 
-        sweep = execute(specs, workers=2).raise_errors()
+        sweep = execute(specs, workers=2, manifest_path=manifest).raise_errors()
         assert sweep.stats["groups"] == 2
         assert report(sweep, strip_wall=True) == report(serial, strip_wall=True)
         # The victim died once (its marker was claimed) and its retry ran
-        # alone; its chunk-mate was stranded and retried the same way.
+        # alone; its chunk-mate had finished and was sent back before the
+        # death, so it landed once and is not recomputed.
         assert (tmp_path / f"killed-{specs[1].digest()[:12]}").exists()
         assert sweep.outcomes[1].attempts == 2
-        assert sweep.outcomes[0].attempts == 2
+        assert sweep.outcomes[0].attempts == 1
         assert sweep.outcomes[2].attempts in (1, 2)
         assert sweep.stats["retried"] == sum(
             o.attempts > 1 for o in sweep.outcomes)
+        entries = read_manifest(manifest)
+        assert sorted(e["digest"] for e in entries) == sorted(
+            s.digest() for s in specs)
 
     def test_poison_quarantines_only_the_poisoned_spec(self, tmp_path,
                                                        monkeypatch):
